@@ -69,10 +69,6 @@ def content_key(image: np.ndarray) -> Hashable:
             hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
 
 
-#: Backwards-compatible alias — ``content_key`` predates its public name.
-_content_key = content_key
-
-
 def _extract_shard(config: Union[APFConfig, VolumeAPFConfig],
                    images: List[np.ndarray]) -> List[PatchSequence]:
     """Worker entry point: natural sequences for one shard (picklable)."""

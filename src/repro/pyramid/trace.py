@@ -10,11 +10,13 @@ exponential think times, so the same call always yields the same event
 list on any host.
 
 :func:`run_viewer_load` replays a trace against a
-:class:`~repro.pyramid.service.PyramidService` under the same
-discrete-event virtual clock as :func:`~repro.serve.loadgen.run_load` —
-the engine executes the real model on every batch, only the timeline is
-simulated — and additionally stamps **per-tile completion times** so
-time-to-first-tile is measurable per viewport event. It drives a single
+:class:`~repro.pyramid.service.PyramidService` through the one
+discrete-event loop of :mod:`repro.serve.loadgen` — the engine executes
+the real model on every batch, only the timeline is simulated. The
+driver supplies only what is viewer-specific: each trace event submits a
+``request_viewport``, and a hook after every batch stamps **per-tile
+completion times** so time-to-first-tile is measurable per viewport
+event. The backend is a single
 :class:`~repro.serve.engine.InferenceEngine` or a whole
 :class:`~repro.serve.router.FleetRouter` (with
 :class:`~repro.serve.loadgen.ReplicaKill` / ``ReplicaDrain`` fault
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serve.loadgen import ReplicaDrain, ReplicaKill, SimClock
+from ..serve.loadgen import SimClock, _simulate
 from .service import PyramidService, TileTask, ViewportReport
 
 __all__ = ["ViewportEvent", "viewer_trace", "run_viewer_load"]
@@ -137,33 +139,21 @@ def run_viewer_load(service: PyramidService, trace: Sequence[ViewportEvent],
     :class:`~repro.serve.engine.InferenceEngine` or
     :class:`~repro.serve.router.FleetRouter` (constructed with
     ``clock=clock.now`` and a ``service_model``; never ``start()``\\ ed —
-    this loop owns dispatch via ``engine.step``). ``events`` interleaves
-    :class:`~repro.serve.loadgen.ReplicaKill` /
+    the discrete-event loop owns dispatch via ``engine.step``).
+    ``events`` interleaves :class:`~repro.serve.loadgen.ReplicaKill` /
     :class:`~repro.serve.loadgen.ReplicaDrain` on the virtual timeline
     (fleet backends only).
 
-    Beyond :func:`~repro.serve.loadgen.run_load` semantics, the loop
+    Beyond :func:`~repro.serve.loadgen.run_load` semantics, the driver
     stamps every tile task's ``done_t`` with the *virtual completion
     time* of the batch that resolved it (``start + cost``, not the
     dispatch instant), which is what makes per-viewport
     time-to-first-tile well defined inside the simulation.
     """
-    if not trace:
-        raise ValueError("empty trace")
     backend = service.backend
-    replicas = getattr(backend, "replicas", None)
-    if replicas is None:
-        if events:
-            raise ValueError("fault events need a fleet backend")
-        pool = [(0, backend)]
-        serving = {0: lambda: True}
-    else:
-        pool = [(r.rank, r.engine) for r in replicas]
-        serving = {r.rank: (lambda r=r: r.serving) for r in replicas}
-    route_seconds = float(getattr(backend, "route_seconds", 0.0))
-    free_at = {rank: clock.now() for rank, _ in pool}
     live: List[TileTask] = []
     live_ids = set()
+    reports: List[ViewportReport] = []
 
     def adopt(tasks: Sequence[TileTask]) -> None:
         for task in tasks:
@@ -187,62 +177,14 @@ def run_viewer_load(service: PyramidService, trace: Sequence[ViewportEvent],
         live_ids.clear()
         live_ids.update(id(t) for t in live)
 
-    def pump(limit: float) -> None:
-        while True:
-            best = None
-            for rank, engine in pool:
-                if not serving[rank]():
-                    continue
-                due = engine.next_flush_at(max(free_at[rank], clock.now()))
-                if due is None:
-                    continue
-                start_t = max(free_at[rank], due)
-                if best is None or (start_t, rank) < (best[0], best[2]):
-                    best = (start_t, engine, rank)
-            if best is None or best[0] >= limit:
-                return
-            start_t, engine, rank = best
-            clock.set(start_t)
-            report = engine.step(start_t)
-            if report is None:      # pragma: no cover - policy safety net
-                return
-            free_at[rank] = start_t + report.cost
-            stamp(start_t + report.cost)
-
-    stream = sorted([(ev.time, 0, ev) for ev in events]
-                    + [(ev.time, 1, ev) for ev in trace],
-                    key=lambda entry: entry[:2])
-    reports: List[ViewportReport] = []
-    for _, tag, ev in stream:
-        if tag == 0:
-            pump(ev.time)
-            clock.set(ev.time)
-            tracer = getattr(backend, "tracer", None)
-            if isinstance(ev, ReplicaKill):
-                if tracer is not None:
-                    tracer.instant("fault.kill", "loadgen", ev.time,
-                                   args={"rank": ev.rank})
-                backend.kill(ev.rank)
-            elif isinstance(ev, ReplicaDrain):
-                if tracer is not None:
-                    tracer.instant("fault.drain", "loadgen", ev.time,
-                                   args={"rank": ev.rank})
-                backend.drain(ev.rank)
-            else:
-                raise TypeError(f"unknown fleet event {ev!r}")
-            continue
-        submit_at = ev.time + route_seconds
-        pump(submit_at)
-        clock.set(submit_at)
+    def submit(ev: ViewportEvent, at: float) -> None:
         report = service.request_viewport(ev.session, ev.level, ev.origin,
-                                          ev.size, now=submit_at)
+                                          ev.size, now=at)
         adopt(report.tasks)
         adopt(report.prefetched)
         reports.append(report)
-    pump(float("inf"))
-    stamp(clock.now())
-    clock.set(max([clock.now()] + [free_at[rank] for rank, _ in pool
-                                   if serving[rank]()]))
+
+    _simulate(backend, clock, trace, submit, events, on_done=stamp)
 
     # -- integrity: nothing leaked, nothing failed -------------------------
     seen: Dict[int, TileTask] = {}

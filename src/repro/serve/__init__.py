@@ -31,7 +31,7 @@ from .loadgen import (Arrival, ReplicaDrain, ReplicaKill, ServiceModel,
                       SimClock, merge_traces, poisson_trace, run_fleet_load,
                       run_load, serial_baseline)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .predictor import Predictor, predict_image
+from .predictor import Predictor
 from .queueing import EngineOverloaded, FairQueue, Request
 from .router import (REPLICA_DOWN, REPLICA_DRAINING, REPLICA_UP, FleetRouter,
                      Replica, rendezvous_order)
@@ -42,7 +42,7 @@ from .stitch import stitch_image, stitch_volume
 __all__ = [
     "WorkGraphScheduler", "SequenceNode", "MicroBatch", "TileNode",
     "class_map",
-    "Predictor", "predict_image", "stitch_image", "stitch_volume",
+    "Predictor", "stitch_image", "stitch_volume",
     "InferenceEngine", "EngineConfig", "BatchReport",
     "FairQueue", "Request", "EngineOverloaded",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",

@@ -177,10 +177,9 @@ class InferenceEngine:
         # so every hot-path site is one attribute test. The tracer is
         # pushed down to the predictor so the shared work-graph scheduler
         # emits its sub-spans on this engine's track.
-        tr = tracer if tracer is not None else getattr(predictor, "tracer",
-                                                       None)
+        tr = tracer if tracer is not None else predictor.tracer
         self.tracer = tr if (tr is not None and tr.enabled) else None
-        self.trace_label = getattr(predictor, "trace_label", "engine")
+        self.trace_label = predictor.trace_label
         if self.tracer is not None:
             self.set_trace_label(self.trace_label)
 

@@ -12,6 +12,15 @@ bit-exact virtual latency/throughput numbers, on any host, every time.
 That is what lets ``benchmarks/BENCH_serving.json`` gate tail latency in
 CI without flakes.
 
+One loop serves every driver. It merges fault events with arrivals,
+keeps one availability horizon per server, dispatches the
+earliest-starting due batch, and applies the routing hop. A single
+engine is the one-server fleet. :func:`run_load` (one engine),
+:func:`run_fleet_load` (a :class:`~repro.serve.router.FleetRouter`
+with :class:`ReplicaKill` / :class:`ReplicaDrain` events) and
+:func:`~repro.pyramid.trace.run_viewer_load` (viewport sessions) supply
+only how an arrival is submitted and what happens after a batch.
+
 Open-loop semantics: arrivals fire at their trace times regardless of
 completions (the production-realistic regime — clients do not politely
 wait). When the engine's admission control rejects an arrival it is
@@ -27,7 +36,7 @@ what continuous batching buys (fixed per-dispatch overhead amortized over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -122,91 +131,6 @@ def merge_traces(*traces: Sequence[Arrival]) -> List[Arrival]:
     return merged
 
 
-def run_load(engine, trace: Sequence[Arrival], items: Sequence[np.ndarray],
-             clock: SimClock) -> Dict[str, object]:
-    """Replay an arrival trace through the engine under the virtual clock.
-
-    The engine must have been constructed with ``clock=clock.now`` and a
-    ``service_model`` (deterministic completions); :meth:`start` must NOT
-    have been called — this loop owns dispatch via ``engine.step``.
-
-    Discrete-event loop: between consecutive arrivals, run every batch
-    whose flush time (full bucket, or oldest-request deadline) and the
-    single server's availability both fall before the next arrival;
-    submissions are stamped at their exact trace times. Returns a report
-    with virtual throughput/latency plus the engine's own stats snapshot.
-    """
-    arrivals = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
-    if not arrivals:
-        raise ValueError("empty trace")
-    t_begin = arrivals[0].time
-    free_at = clock.now()
-    futures = []
-    rejected = 0
-    retry_hints: List[float] = []
-
-    def pump(limit: float) -> None:
-        """Run all batches that can start strictly before ``limit``."""
-        nonlocal free_at
-        while True:
-            due = engine.next_flush_at(max(free_at, clock.now()))
-            if due is None:
-                return
-            start_t = max(free_at, due)
-            if start_t >= limit:
-                return
-            clock.set(start_t)
-            report = engine.step(start_t)
-            if report is None:      # pragma: no cover - policy safety net
-                return
-            free_at = start_t + report.cost
-
-    for arrival in arrivals:
-        pump(arrival.time)
-        clock.set(arrival.time)
-        payload = items[arrival.item]
-        try:
-            if arrival.kind == "volume":
-                futures.append(engine.submit_volume(payload,
-                                                    lane=arrival.lane))
-            else:
-                futures.append(engine.submit(payload, lane=arrival.lane))
-        except EngineOverloaded as exc:
-            rejected += 1
-            retry_hints.append(exc.retry_after)
-    pump(float("inf"))
-    clock.set(free_at)
-
-    unresolved = sum(1 for f in futures if not f.done())
-    if unresolved:
-        raise RuntimeError(f"{unresolved} accepted futures never resolved")
-    snap = engine.stats()
-    eng = snap["engine"]
-    # collapsed duplicates are accepted submissions served by their twin's
-    # execution — they count toward delivered throughput like cache hits
-    completed = (eng.get("completed", 0) + eng.get("cache_hits", 0)
-                 + eng.get("collapsed", 0))
-    makespan = max(clock.now() - t_begin, 1e-12)
-    batches = eng.get("batches", 0)
-    return {
-        "offered": len(arrivals),
-        "accepted": len(futures),
-        "rejected_submissions": rejected,
-        "mean_retry_after": (float(np.mean(retry_hints))
-                             if retry_hints else 0.0),
-        "requests_completed": completed,
-        "makespan": makespan,
-        "throughput": completed / makespan,
-        "batches": batches,
-        "mean_batch_size": (eng["batch_size"]["mean"] if batches else 0.0),
-        "latency": eng.get("latency"),
-        "latency_per_lane": {lane: eng[f"latency.{lane}"]
-                             for lane in engine.config.lanes
-                             if f"latency.{lane}" in eng},
-        "stats": snap,
-    }
-
-
 @dataclass(frozen=True)
 class ReplicaKill:
     """Fault-injection event: fail-stop replica ``rank`` at virtual ``time``.
@@ -230,23 +154,192 @@ class ReplicaDrain:
     rank: int
 
 
+def _simulate(backend, clock: SimClock, arrivals: Sequence,
+              submit: Callable[[object, float], None],
+              events: Sequence = (),
+              on_done: Optional[Callable[[float], None]] = None) -> None:
+    """The discrete-event loop behind every DES driver.
+
+    ``backend`` is one :class:`~repro.serve.engine.InferenceEngine` or a
+    :class:`~repro.serve.router.FleetRouter`; a single engine is the
+    one-server fleet with no routing hop. Every server keeps its own
+    virtual availability horizon, and the loop always dispatches the
+    earliest-starting due batch among the servers still serving (ties go
+    to the lowest rank, so the schedule is deterministic).
+
+    ``arrivals`` (anything with a ``.time``) and ``events``
+    (:class:`ReplicaKill` / :class:`ReplicaDrain`) merge into one
+    timeline; an event at an arrival's exact time fires first, so a
+    same-instant arrival already routes around the dead replica. Each
+    arrival is handed to ``submit(arrival, at)`` at ``at = time +
+    backend.route_seconds``, after every batch that can start strictly
+    before ``at``: pumping only to the arrival time would let a batch
+    dispatch inside the hop window and scoop a request stamped after its
+    own start (negative latency).
+
+    ``on_done(t)`` runs after each batch with its completion time
+    ``start + cost``, and once more at the drain instant after the last
+    batch has started. On return the clock stands at the last busy
+    server's horizon.
+    """
+    if not arrivals:
+        raise ValueError("empty trace")
+    replicas = getattr(backend, "replicas", None)
+    if replicas is None:
+        if events:
+            raise ValueError("fault events need a fleet backend")
+        servers = [(0, backend, lambda: True)]
+    else:
+        servers = [(r.rank, r.engine, lambda r=r: r.serving)
+                   for r in replicas]
+    hop = float(getattr(backend, "route_seconds", 0.0))
+    free_at = {rank: clock.now() for rank, _, _ in servers}
+
+    def pump(limit: float) -> None:
+        """Run every batch that can start strictly before ``limit``."""
+        while True:
+            best = None
+            for rank, engine, serving in servers:
+                if not serving():
+                    continue
+                due = engine.next_flush_at(max(free_at[rank], clock.now()))
+                if due is None:
+                    continue
+                start_t = max(free_at[rank], due)
+                if best is None or start_t < best[0]:
+                    best = (start_t, rank, engine)
+            if best is None or best[0] >= limit:
+                return
+            start_t, rank, engine = best
+            clock.set(start_t)
+            report = engine.step(start_t)
+            if report is None:      # pragma: no cover - policy safety net
+                return
+            free_at[rank] = start_t + report.cost
+            if on_done is not None:
+                on_done(free_at[rank])
+
+    stream = sorted([(ev.time, 0, ev) for ev in events]
+                    + [(a.time, 1, a) for a in arrivals],
+                    key=lambda entry: entry[:2])
+    for t, tag, ev in stream:
+        at = t + hop if tag else t
+        pump(at)
+        clock.set(at)
+        if tag:
+            submit(ev, at)
+            continue
+        if isinstance(ev, ReplicaKill):
+            name, act = "fault.kill", backend.kill
+        elif isinstance(ev, ReplicaDrain):
+            name, act = "fault.drain", backend.drain
+        else:
+            raise TypeError(f"unknown fleet event {ev!r}")
+        if backend.tracer is not None:
+            backend.tracer.instant(name, "loadgen", ev.time,
+                                   args={"rank": ev.rank})
+        act(ev.rank)
+    pump(float("inf"))
+    if on_done is not None:
+        on_done(clock.now())
+    clock.set(max([clock.now()] + [free_at[rank]
+                                   for rank, _, serving in servers
+                                   if serving()]))
+
+
+def _replay(backend, trace: Sequence[Arrival], items: Sequence[np.ndarray],
+            clock: SimClock, events: Sequence, scope: str,
+            lanes: Sequence[str]):
+    """Run an arrival trace through :func:`_simulate` and build the report
+    fields :func:`run_load` and :func:`run_fleet_load` share.
+
+    ``scope`` names the counter block of
+    ``backend.stats()`` (``"engine"`` or ``"fleet"``). Returns
+    ``(report, stats snapshot, accepted futures)``.
+    """
+    arrivals = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
+    futures = []
+    retry_hints: List[float] = []
+
+    def submit(arrival: Arrival, _at: float) -> None:
+        payload = items[arrival.item]
+        try:
+            if arrival.kind == "volume":
+                futures.append(backend.submit_volume(payload,
+                                                     lane=arrival.lane))
+            else:
+                futures.append(backend.submit(payload, lane=arrival.lane))
+        except EngineOverloaded as exc:
+            retry_hints.append(exc.retry_after)
+
+    _simulate(backend, clock, arrivals, submit, events)
+    unresolved = sum(1 for f in futures if not f.done())
+    if unresolved:
+        raise RuntimeError(f"{unresolved} accepted futures never resolved")
+    snap = backend.stats()
+    counters = snap[scope]
+    # collapsed duplicates are accepted submissions served by their twin's
+    # execution — they count toward delivered throughput like cache hits
+    completed = (counters.get("completed", 0) + counters.get("cache_hits", 0)
+                 + counters.get("collapsed", 0))
+    makespan = max(clock.now() - arrivals[0].time, 1e-12)
+    batches = counters.get("batches", 0)
+    report = {
+        "offered": len(arrivals),
+        "accepted": len(futures),
+        "rejected_submissions": len(retry_hints),
+        "mean_retry_after": (float(np.mean(retry_hints))
+                             if retry_hints else 0.0),
+        "requests_completed": completed,
+        "makespan": makespan,
+        "throughput": completed / makespan,
+        "batches": batches,
+        "mean_batch_size": (counters["batch_size"]["mean"] if batches
+                            else 0.0),
+        "latency": counters.get("latency"),
+        "latency_per_lane": {lane: counters[f"latency.{lane}"]
+                             for lane in lanes
+                             if f"latency.{lane}" in counters},
+    }
+    return report, snap, futures
+
+
+def run_load(engine, trace: Sequence[Arrival], items: Sequence[np.ndarray],
+             clock: SimClock) -> Dict[str, object]:
+    """Replay an arrival trace through the engine under the virtual clock.
+
+    The engine must have been constructed with ``clock=clock.now`` and a
+    ``service_model`` (deterministic completions); :meth:`start` must NOT
+    have been called — the discrete-event loop owns dispatch via
+    ``engine.step``. The engine runs as a one-server fleet: between
+    consecutive arrivals, every batch whose flush time (full bucket, or
+    oldest-request deadline) and the server's availability both fall
+    before the next arrival runs; submissions are stamped at their exact
+    trace times. Returns a report with virtual throughput/latency plus
+    the engine's own stats snapshot.
+    """
+    report, snap, _ = _replay(engine, trace, items, clock, (), "engine",
+                              engine.config.lanes)
+    report["stats"] = snap
+    return report
+
+
 def run_fleet_load(router, trace: Sequence[Arrival],
                    items: Sequence[np.ndarray], clock: SimClock,
                    events: Sequence = ()) -> Dict[str, object]:
     """Replay an arrival trace through a :class:`FleetRouter` fleet.
 
-    The multi-server extension of :func:`run_load`: every replica engine
-    keeps its own virtual availability horizon, and the discrete-event
-    loop always dispatches the earliest-starting due batch across the
-    whole fleet (ties break by rank, so the schedule is deterministic).
-    All engines must share ``clock`` (``clock=clock.now``) and carry
+    The N-server case of the one discrete-event loop (:func:`run_load` is
+    the one-server case): every replica engine keeps its own virtual
+    availability horizon, and the earliest-starting due batch across the
+    whole fleet dispatches first (ties break by rank). All engines must
+    share ``clock`` (``clock=clock.now``) and carry
     :class:`ServiceModel`\\ s — heterogeneous per-replica models are fine;
     :func:`~repro.serve.fleet.build_fleet` sets this up.
 
     ``events`` interleaves :class:`ReplicaKill` / :class:`ReplicaDrain`
     with the arrivals on the virtual timeline (events at an arrival's
-    exact time fire first, so a same-instant arrival already routes
-    around the dead replica). ``router.route_seconds`` models the routing
+    exact time fire first). ``router.route_seconds`` models the routing
     hop: each submission is stamped that much after its arrival.
 
     Returns the :func:`run_load`-shaped report plus fleet extras:
@@ -254,118 +347,22 @@ def run_fleet_load(router, trace: Sequence[Arrival],
     fleet-wide merged latency histograms (bucket-wise sums — true fleet
     percentiles, not averages of per-replica percentiles).
     """
-    arrivals = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
-    if not arrivals:
-        raise ValueError("empty trace")
-    t_begin = arrivals[0].time
-    free_at = {r.rank: clock.now() for r in router.replicas}
-    futures = []
-    rejected = 0
-    retry_hints: List[float] = []
-
-    def pump(limit: float) -> None:
-        """Dispatch every fleet batch that can start strictly before
-        ``limit``, earliest start first (rank breaks ties)."""
-        while True:
-            best = None
-            for replica in router.replicas:
-                if not replica.serving:
-                    continue
-                due = replica.engine.next_flush_at(
-                    max(free_at[replica.rank], clock.now()))
-                if due is None:
-                    continue
-                start_t = max(free_at[replica.rank], due)
-                if best is None or start_t < best[0]:
-                    best = (start_t, replica)
-            if best is None or best[0] >= limit:
-                return
-            start_t, replica = best
-            clock.set(start_t)
-            report = replica.engine.step(start_t)
-            if report is None:      # pragma: no cover - policy safety net
-                return
-            free_at[replica.rank] = start_t + report.cost
-
-    stream = sorted(
-        [(ev.time, 0, ev) for ev in events]
-        + [(a.time, 1, a) for a in arrivals],
-        key=lambda entry: entry[:2])
-    for _, tag, ev in stream:
-        if tag == 0:
-            pump(ev.time)
-            clock.set(ev.time)
-            tracer = getattr(router, "tracer", None)
-            if isinstance(ev, ReplicaKill):
-                if tracer is not None:
-                    tracer.instant("fault.kill", "loadgen", ev.time,
-                                   args={"rank": ev.rank})
-                router.kill(ev.rank)
-            elif isinstance(ev, ReplicaDrain):
-                if tracer is not None:
-                    tracer.instant("fault.drain", "loadgen", ev.time,
-                                   args={"rank": ev.rank})
-                router.drain(ev.rank)
-            else:
-                raise TypeError(f"unknown fleet event {ev!r}")
-            continue
-        # the routing hop delays *admission*: the request reaches its
-        # replica at arrival + hop, so everything the fleet can do
-        # strictly before that instant happens first — pumping only to
-        # ev.time would let a batch dispatch inside the hop window and
-        # scoop a request stamped after its own start (negative latency)
-        submit_at = ev.time + router.route_seconds
-        pump(submit_at)
-        clock.set(submit_at)
-        payload = items[ev.item]
-        try:
-            if ev.kind == "volume":
-                futures.append(router.submit_volume(payload, lane=ev.lane))
-            else:
-                futures.append(router.submit(payload, lane=ev.lane))
-        except EngineOverloaded as exc:
-            rejected += 1
-            retry_hints.append(exc.retry_after)
-    pump(float("inf"))
-    clock.set(max([clock.now()] + [free_at[r.rank] for r in router.replicas
-                                   if r.serving]))
-
-    unresolved = sum(1 for f in futures if not f.done())
-    if unresolved:
-        raise RuntimeError(f"{unresolved} accepted futures never resolved")
-    failed = sum(1 for f in futures if f.exception() is not None)
-    snap = router.stats()
-    fleet = snap["fleet"]
-    completed = (fleet.get("completed", 0) + fleet.get("cache_hits", 0)
-                 + fleet.get("collapsed", 0))
-    makespan = max(clock.now() - t_begin, 1e-12)
-    batches = fleet.get("batches", 0)
-    lane_names = sorted({lane for r in router.replicas
-                         for lane in r.engine.config.lanes})
-    return {
-        "offered": len(arrivals),
-        "accepted": len(futures),
-        "rejected_submissions": rejected,
-        "mean_retry_after": (float(np.mean(retry_hints))
-                             if retry_hints else 0.0),
-        "requests_completed": completed,
-        "failed": failed,
-        "makespan": makespan,
-        "throughput": completed / makespan,
-        "batches": batches,
-        "mean_batch_size": (fleet["batch_size"]["mean"] if batches else 0.0),
-        "latency": fleet.get("latency"),
-        "latency_per_lane": {lane: fleet[f"latency.{lane}"]
-                             for lane in lane_names
-                             if f"latency.{lane}" in fleet},
-        "rerouted": snap["router"].get("rerouted", 0),
-        "spilled": snap["router"].get("spilled", 0),
-        "kills": snap["router"].get("kills", 0),
-        "drains": snap["router"].get("drains", 0),
+    lanes = sorted({lane for r in router.replicas
+                    for lane in r.engine.config.lanes})
+    report, snap, futures = _replay(router, trace, items, clock, events,
+                                    "fleet", lanes)
+    routing = snap["router"]
+    report.update({
+        "failed": sum(1 for f in futures if f.exception() is not None),
+        "rerouted": routing.get("rerouted", 0),
+        "spilled": routing.get("spilled", 0),
+        "kills": routing.get("kills", 0),
+        "drains": routing.get("drains", 0),
         "cache_hit_rate": snap["result_cache"]["hit_rate"],
         "per_replica": snap["replicas"],
         "stats": snap,
-    }
+    })
+    return report
 
 
 def serial_baseline(trace: Sequence[Arrival], lengths: Sequence[int],

@@ -29,7 +29,6 @@ that equality end-to-end.
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from ..sparse import SparseRuntime, SparsityConfig
 from ..train.volumetric import predict_volume_batched
 from .scheduler import WorkGraphScheduler, class_map
 
-__all__ = ["Predictor", "predict_image", "class_map"]
+__all__ = ["Predictor", "class_map"]
 
 
 class Predictor:
@@ -190,8 +189,7 @@ class Predictor:
         """Single image/volume -> (K, Z, Z) (or (Z, Z, Z)) probabilities.
 
         Mirrors ``model.predict_mask`` / ``model.predict_volume_probs``
-        through the serving stack. The single implementation behind both
-        this method and the deprecated module-level :func:`predict_image`.
+        through the serving stack.
         """
         return self.predict_batch([image],
                                   None if key is None else [key])[0]
@@ -210,23 +208,3 @@ class Predictor:
         return predict_volume_batched(self.predict_class_slices, volume,
                                       batch_size or self.max_batch)
 
-
-def predict_image(model, pipeline, image: np.ndarray,
-                  key: Optional[Hashable] = None,
-                  **predictor_kwargs) -> np.ndarray:
-    """Deprecated one-shot wrapper — use :meth:`Predictor.predict_image`.
-
-    Historically this free function and the method drifted (no ``key``
-    support here, and a fresh Predictor per call silently discarded the
-    plan and pipeline caches). It is now a pure shim over the one
-    implementation: construct a :class:`Predictor` and call its
-    :meth:`~Predictor.predict_image`, which amortizes compiled plans and
-    the sequence cache across calls.
-    """
-    warnings.warn(
-        "repro.serve.predict_image() is deprecated; construct a Predictor "
-        "once and call predictor.predict_image(image, key=...) so compiled "
-        "plans and the pipeline cache amortize across calls",
-        DeprecationWarning, stacklevel=2)
-    return Predictor(model, pipeline, **predictor_kwargs).predict_image(
-        image, key=key)

@@ -155,9 +155,9 @@ class WorkGraphScheduler:
         sub-spans land on that owner's track so a fleet's per-replica
         timelines stay separate.
         """
-        tr = getattr(self.predictor, "tracer", None)
+        tr = self.predictor.tracer
         if tr is not None and tr.enabled:
-            return tr, getattr(self.predictor, "trace_label", "predictor")
+            return tr, self.predictor.trace_label
         return None, ""
 
     # -- stage 1 -> 2: bucketing (the single truth) ------------------------
@@ -185,7 +185,7 @@ class WorkGraphScheduler:
         plan swaps in the reduced sequence — so the bucket (and with it
         the micro-batch signature) reflects what actually runs.
         """
-        rt = getattr(self.predictor, "sparsity", None)
+        rt = self.predictor.sparsity
         nodes = []
         for s in seqs:
             node = SequenceNode(seq=s, bucket=0, order=next(self._order))
@@ -290,7 +290,7 @@ class WorkGraphScheduler:
         results are bit-identical to the pre-refactor paths.
         """
         stats = self.predictor.stats
-        rt = getattr(self.predictor, "sparsity", None)
+        rt = self.predictor.sparsity
         tr, trk = self._trace()
         t0 = tr.clock() if tr is not None else 0.0
         fitted = [self._fit_to(n.seq, micro.length) for n in micro.nodes]

@@ -112,7 +112,7 @@ class StreamingRunner:
         self.track_memory = track_memory
         if tracer is None:
             owner = engine if engine is not None else predictor
-            tracer = getattr(owner, "tracer", None)
+            tracer = owner.tracer
         self.tracer = tracer if (tracer is not None and tracer.enabled) \
             else None
 
@@ -121,7 +121,7 @@ class StreamingRunner:
         """Flat numeric snapshot of the serving predictor's sparsity stats."""
         owner = self.predictor if self.predictor is not None \
             else self.engine.predictor
-        rt = getattr(owner, "sparsity", None)
+        rt = owner.sparsity
         if rt is None:
             return None
         flat = {k: v for k, v in rt.stats.items() if isinstance(v, int)}

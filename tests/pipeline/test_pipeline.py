@@ -137,10 +137,10 @@ class TestKeying:
         assert _key_seed(("a", 1)) != _key_seed(("a", 2))
 
     def test_content_keys_differ_for_different_images(self):
-        from repro.pipeline.engine import _content_key
+        from repro.pipeline.engine import content_key
         a, b = images(64, 2)
-        assert _content_key(a) != _content_key(b)
-        assert _content_key(a) == _content_key(a.copy())
+        assert content_key(a) != content_key(b)
+        assert content_key(a) == content_key(a.copy())
 
 
 class TestWorkerDeterminism:

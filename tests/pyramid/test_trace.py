@@ -8,8 +8,8 @@ from repro.models.vit import ViTSegmenter
 from repro.pipeline import PatchPipeline
 from repro.pyramid import (PyramidService, TilePyramid, ViewportEvent,
                            run_viewer_load, viewer_trace)
-from repro.serve import (InferenceEngine, Predictor, ReplicaKill,
-                         ServiceModel, SimClock, build_fleet)
+from repro.serve import (InferenceEngine, Predictor, ReplicaDrain,
+                         ReplicaKill, ServiceModel, SimClock, build_fleet)
 from repro.stream.source import VirtualWSISource
 
 RES = 1024
@@ -153,6 +153,22 @@ class TestRunViewerLoad:
         assert report["outstanding"] == 0
         assert report["cancelled_stale"] >= 0
         assert report["ttft"]["count"] > 0
+
+    def test_drain_mid_pan_completes_clean(self):
+        # A drained replica stops admitting but retires its queue through
+        # the normal batcher path: nothing fails, leaks or stays queued.
+        trace = _trace(sessions=4, events_per_session=6)
+        mid = trace[len(trace) // 2].time
+        svc, clock = _fleet_service(replicas=2, prefetch_tiles=2)
+        report = run_viewer_load(svc, trace, clock,
+                                 events=[ReplicaDrain(mid, 1)])
+        assert report["backend"]["router"]["drains"] == 1
+        assert report["failed"] == 0
+        assert report["leaked"] == 0
+        assert report["outstanding"] == 0
+        drained = report["backend"]["replicas"][1]
+        assert drained["state"] == "draining"
+        assert drained["queue_depth"] == 0
 
     def test_shared_cache_beats_single_session(self):
         # Same event budget: 4 overlapping sessions vs 1 session. Sharing

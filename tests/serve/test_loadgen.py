@@ -242,6 +242,35 @@ class TestRunFleetLoad:
         assert throughput[4] > throughput[1]
 
 
+class TestOneServerFleet:
+    """A single engine is a one-server fleet: ``run_fleet_load`` over one
+    replica must reproduce ``run_load`` field for field."""
+
+    SHARED = ("offered", "accepted", "rejected_submissions",
+              "mean_retry_after", "requests_completed", "makespan",
+              "throughput", "batches", "mean_batch_size", "latency",
+              "latency_per_lane")
+
+    @pytest.mark.parametrize("opts", [
+        dict(result_cache_items=0),
+        dict(result_cache_items=16),
+        dict(result_cache_items=0, max_queue=4),
+    ], ids=["cache-off", "cache-on", "max-queue-4"])
+    def test_one_replica_fleet_equals_run_load(self, opts):
+        rate = 500.0 if "max_queue" in opts else 30.0
+        trace = merge_traces(*[poisson_trace(rate, 12, seed=70 + c, n_items=6)
+                               for c in range(3)])
+        imgs, engine, clock = _setup(**opts)
+        single = run_load(engine, trace, imgs, clock)
+        imgs, router, fleet_clock = _fleet_setup(replicas=1, **opts)
+        fleet = run_fleet_load(router, trace, imgs, fleet_clock)
+        for key in self.SHARED:
+            assert fleet[key] == single[key], key
+        assert fleet_clock.now() == clock.now()
+        if "max_queue" in opts:
+            assert single["rejected_submissions"] > 0
+
+
 class TestSerialBaseline:
     def test_fifo_queueing_math(self):
         sm = ServiceModel(batch_seconds=0.03, token_seconds=0.0,

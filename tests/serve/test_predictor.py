@@ -10,7 +10,7 @@ from repro.models.vit import ViTSegmenter, VolumeViTSegmenter
 from repro.patching import (AdaptivePatcher, APFConfig, VolumeAPFConfig,
                             VolumetricAdaptivePatcher)
 from repro.pipeline import PatchPipeline
-from repro.serve import Predictor, predict_image, stitch_image, stitch_volume
+from repro.serve import Predictor, stitch_image, stitch_volume
 from repro.train.tasks import prepare_image
 from repro.train.volumetric import predict_volume
 
@@ -175,7 +175,7 @@ class TestPredictor:
         model = _model()
         patcher = AdaptivePatcher(APFConfig(patch_size=4, split_value=8.0))
         img = prepare_image(_images(1)[0], 1).transpose(1, 2, 0)
-        probs = predict_image(model, patcher, img, bucket=16)
+        probs = Predictor(model, patcher, bucket=16).predict_image(img)
         assert probs.shape == (1, 64, 64)
         assert np.isfinite(probs).all()
 
@@ -185,33 +185,3 @@ class TestPredictor:
         with pytest.raises(ValueError):
             Predictor(_model(), _pipe(), bucket=0)
 
-
-class TestDeprecatedFreeFunction:
-    """The free ``predict_image`` is a pure shim (ISSUE 8 satellite)."""
-
-    def _call(self):
-        import warnings
-        img = prepare_image(_images(1)[0], 1).transpose(1, 2, 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            probs = predict_image(_model(), _pipe(), img, bucket=16)
-        return probs, [w for w in caught
-                       if issubclass(w.category, DeprecationWarning)]
-
-    def test_deprecation_warning_fires_exactly_once(self):
-        probs, warns = self._call()
-        assert len(warns) == 1
-        assert "deprecated" in str(warns[0].message)
-        assert "Predictor" in str(warns[0].message)
-        # stacklevel=2: the warning points at the caller, not the shim.
-        assert warns[0].filename == __file__
-        assert probs.shape[0] == 1
-
-    def test_shim_matches_the_method(self):
-        import warnings
-        img = prepare_image(_images(1)[0], 1).transpose(1, 2, 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            a = predict_image(_model(), _pipe(), img, bucket=16)
-        b = Predictor(_model(), _pipe(), bucket=16).predict_image(img)
-        np.testing.assert_array_equal(a, b)

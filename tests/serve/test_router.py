@@ -7,7 +7,7 @@ from repro.data import SyntheticPAIP
 from repro.distributed import SimCluster
 from repro.models.vit import ViTSegmenter
 from repro.pipeline import PatchPipeline
-from repro.pipeline.engine import _content_key
+from repro.pipeline.engine import content_key
 from repro.serve import (REPLICA_DOWN, REPLICA_DRAINING, REPLICA_UP,
                          EngineOverloaded, FleetRouter, InferenceEngine,
                          Predictor, ServiceModel, SimClock, rendezvous_order)
@@ -74,7 +74,7 @@ class TestRouting:
         for rep in range(3):
             for i, im in enumerate(imgs):
                 router.submit(im)
-                digest = _content_key(np.asarray(im))
+                digest = content_key(np.asarray(im))
                 rank = router.preference(digest)[0]
                 first.setdefault(i, rank)
                 assert first[i] == rank
@@ -99,7 +99,7 @@ class TestRouting:
         imgs = _images()
         # same digest twice: second submission collapses in-flight (not a
         # spill); a *different* digest overflowing the home replica spills
-        home = {i: router.preference(_content_key(np.asarray(im)))[0]
+        home = {i: router.preference(content_key(np.asarray(im)))[0]
                 for i, im in enumerate(imgs)}
         by_home = {}
         for i, im in enumerate(imgs):
@@ -133,7 +133,7 @@ class TestRouting:
         router, _ = _fleet(max_queue=1)
         router.spill = False
         imgs = _images()
-        home = {i: router.preference(_content_key(np.asarray(im)))[0]
+        home = {i: router.preference(content_key(np.asarray(im)))[0]
                 for i, im in enumerate(imgs)}
         by_home = {}
         for i in range(len(imgs)):
@@ -150,14 +150,14 @@ class TestLifecycle:
     def test_drain_stops_admission_but_retires_work(self):
         router, _ = _fleet()
         imgs = _images()
-        target = router.preference(_content_key(np.asarray(imgs[0])))[0]
+        target = router.preference(content_key(np.asarray(imgs[0])))[0]
         router.submit(imgs[0])
         router.drain(target)
         assert router.replicas[target].state == REPLICA_DRAINING
         assert target not in router.live_ranks()
         # same digest now re-homes to the next preference
         router.submit(imgs[0])
-        assert router.preference(_content_key(np.asarray(imgs[0])))[0] != target
+        assert router.preference(content_key(np.asarray(imgs[0])))[0] != target
         assert not router.is_drained(target)
         router.replicas[target].engine.drain()
         assert router.is_drained(target)
