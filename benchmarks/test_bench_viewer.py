@@ -204,7 +204,7 @@ def test_viewer_load_and_regression_gate():
     checked = 0
     for report in priority["reports"]:
         for task in report.tasks:
-            value = svc_p._store_peek(task.digest)
+            value = svc_p.cache.peek(task.digest)
             if value is None:
                 continue
             ref = reference.predict_image(

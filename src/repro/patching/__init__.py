@@ -6,13 +6,11 @@
 """
 
 from .adaptive import AdaptivePatcher, APFConfig
-from .cache import CachingPatcher, LRUPatchCache, PatchCache
 from .sequence import PatchSequence
 from .uniform import UniformPatcher, uniform_sequence_length
 from .volumetric import (VolumeAPFConfig, VolumeSequence,
                          VolumetricAdaptivePatcher)
 
 __all__ = ["AdaptivePatcher", "APFConfig", "PatchSequence", "UniformPatcher",
-           "uniform_sequence_length", "CachingPatcher", "PatchCache",
-           "LRUPatchCache",
+           "uniform_sequence_length",
            "VolumetricAdaptivePatcher", "VolumeAPFConfig", "VolumeSequence"]

@@ -3,11 +3,11 @@
 :class:`PatchPipeline` wraps the batched patchers with the three things a
 real workload needs on top of raw batch kernels:
 
-* an **LRU sequence cache** (:class:`~repro.patching.cache.LRUPatchCache`)
-  keyed on caller ids or image content hashes — the natural (pre-drop)
-  sequence is cached, so every epoch after the first costs a dictionary
-  lookup per image while the drop stage stays fresh (Algorithm 1's
-  amortization, same contract as :class:`~repro.patching.cache.CachingPatcher`);
+* an **LRU sequence cache** (:class:`~repro.cache.LRU`) keyed on caller
+  ids or image content hashes — the natural (pre-drop) sequence is cached,
+  so every epoch after the first costs a dictionary lookup per image while
+  the drop stage stays fresh (Algorithm 1's amortization: the patched
+  dataset ``Dp`` is built once, then reused by every epoch);
 * a **worker pool** (``workers=N``, thread- or process-based) that shards
   cache misses into sub-batches — workers only compute deterministic natural
   sequences, so results are identical for any worker count;
@@ -32,8 +32,8 @@ from typing import Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..cache import LRU
 from ..patching.adaptive import APFConfig
-from ..patching.cache import LRUPatchCache
 from ..patching.sequence import PatchSequence
 from ..patching.volumetric import VolumeAPFConfig
 from ..train.tasks import prepare_image
@@ -129,11 +129,12 @@ class PatchPipeline:
             self.patcher = BatchedAdaptivePatcher(config, **overrides)
         self.workers = workers
         self.executor = executor
-        self.cache = LRUPatchCache(cache_items) if cache_items else None
+        self.cache = LRU(cache_items) if cache_items else None
+        self.build_seconds = 0.0     #: wall time spent computing cache misses
         self.channels = channels
         # One pipeline is shared by engine submit threads and the batcher:
-        # the LRU's OrderedDict reordering is not atomic, so all cache
-        # access goes through this lock (extraction itself runs outside it).
+        # the LRU's recency reordering is not atomic, so all cache access
+        # goes through this lock (extraction itself runs outside it).
         self._cache_lock = threading.Lock()
 
     @property
@@ -187,7 +188,7 @@ class PatchPipeline:
             computed = self._compute_natural([images[i] for i in miss_idx])
             build_s = time.perf_counter() - t0
             with self._cache_lock:
-                self.cache.build_seconds += build_s
+                self.build_seconds += build_s
                 for i, seq in zip(miss_idx, computed):
                     self.cache.put(keys[i], seq)
                     out[i] = seq
@@ -196,8 +197,8 @@ class PatchPipeline:
     def __call__(self, images, keys: Optional[Sequence[Hashable]] = None):
         """Batch call → list of sequences; a single array — (Z, Z[, C]) for
         images, (Z, Z, Z) for volumes — → one sequence with drop/pad applied
-        (drop-in for the task adapters, same contract as
-        :class:`~repro.patching.cache.CachingPatcher`)."""
+        (drop-in for the task adapters' patcher: the natural sequence is
+        cached, the drop stays fresh on every call)."""
         single_ndim = (3,) if self.volumetric else (2, 3)
         if isinstance(images, np.ndarray) and images.ndim in single_ndim:
             return self.extract(images, key=keys)
@@ -264,7 +265,7 @@ class PatchPipeline:
             return {"hits": self.cache.hits, "misses": self.cache.misses,
                     "evictions": self.cache.evictions,
                     "hit_rate": self.cache.hit_rate,
-                    "build_seconds": self.cache.build_seconds,
+                    "build_seconds": self.build_seconds,
                     "items": len(self.cache)}
 
     def warm(self, dataset, batch_size: int = 32) -> dict:

@@ -11,11 +11,11 @@ replays them under the deterministic virtual clock.
 """
 
 from .levels import PyramidTile, TilePyramid
-from .service import PyramidService, TileCache, TileTask, ViewportReport
+from .service import PyramidService, TileTask, ViewportReport
 from .trace import ViewportEvent, run_viewer_load, viewer_trace
 
 __all__ = [
     "PyramidTile", "TilePyramid",
-    "PyramidService", "TileCache", "TileTask", "ViewportReport",
+    "PyramidService", "TileTask", "ViewportReport",
     "ViewportEvent", "viewer_trace", "run_viewer_load",
 ]

@@ -24,12 +24,12 @@ the fleet router's affinity sharding all dedupe the same way.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from ..cache import LRU
 from ..pipeline.engine import content_key
 
 __all__ = ["PyramidTile", "TilePyramid"]
@@ -95,10 +95,17 @@ class TilePyramid:
             if max_level is not None and levels >= max_level:
                 break
         self.n_levels = levels + 1
-        self._pixels: "OrderedDict[PyramidTile, np.ndarray]" = OrderedDict()
+        self._pixels = LRU(cache_tiles)   # frozen: shared by every later read
         self._digests: Dict[PyramidTile, Hashable] = {}
-        self._cache_tiles = cache_tiles
-        self.stats = {"synthesized": 0, "downsampled": 0, "cache_hits": 0}
+        self.synthesized = 0
+        self.downsampled = 0
+
+    @property
+    def stats(self) -> dict:
+        """Level-0 source reads, mean-pool builds, and pixel-cache hits."""
+        return {"synthesized": self.synthesized,
+                "downsampled": self.downsampled,
+                "cache_hits": self._pixels.hits}
 
     # -- geometry ----------------------------------------------------------
     def _check_level(self, level: int) -> None:
@@ -152,13 +159,6 @@ class TilePyramid:
                 for tx in range(xa // t, (xb - 1) // t + 1)]
 
     # -- pixels ------------------------------------------------------------
-    def _cache_put(self, key: PyramidTile, pixels: np.ndarray) -> np.ndarray:
-        pixels.setflags(write=False)       # shared by every later read
-        self._pixels[key] = pixels
-        while len(self._pixels) > self._cache_tiles:
-            self._pixels.popitem(last=False)
-        return pixels
-
     def tile_pixels(self, t: PyramidTile) -> np.ndarray:
         """Materialize one tile: source read at level 0, recursive 2x2
         mean-pool of its children above (deterministic pure NumPy)."""
@@ -168,15 +168,14 @@ class TilePyramid:
             raise ValueError(f"tile {t} outside grid {(ny, nx)}")
         hit = self._pixels.get(t)
         if hit is not None:
-            self._pixels.move_to_end(t)
-            self.stats["cache_hits"] += 1
             return hit
         s = self.tile
         if t.level == 0:
             pixels = np.asarray(self.source.read_region(
-                (t.ty * s, t.tx * s), (s, s)), dtype=np.float64)
-            self.stats["synthesized"] += 1
-            return self._cache_put(t, pixels.copy())
+                (t.ty * s, t.tx * s), (s, s)), dtype=np.float64).copy()
+            self.synthesized += 1
+            self._pixels.put(t, pixels)
+            return pixels
         kids = [self.tile_pixels(c) for c in self.children(t)]
         block_shape = ((2 * s, 2 * s) if kids[0].ndim == 2
                        else (2 * s, 2 * s, kids[0].shape[2]))
@@ -189,8 +188,9 @@ class TilePyramid:
             pixels = block.reshape(s, 2, s, 2).mean(axis=(1, 3))
         else:
             pixels = block.reshape(s, 2, s, 2, -1).mean(axis=(1, 3))
-        self.stats["downsampled"] += 1
-        return self._cache_put(t, pixels)
+        self.downsampled += 1
+        self._pixels.put(t, pixels)
+        return pixels
 
     def digest(self, t: PyramidTile) -> Hashable:
         """Content digest of the tile's pixels (memoized per address).
@@ -215,5 +215,5 @@ class TilePyramid:
                       for level in range(self.n_levels)},
             "total_tiles": sum(int(np.prod(self.grid(level)))
                                for level in range(self.n_levels)),
-            "stats": dict(self.stats),
+            "stats": self.stats,
         }

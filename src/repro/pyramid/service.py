@@ -4,10 +4,11 @@
 stack. A viewport request ``(level, origin, size)`` becomes a set of
 :class:`~repro.pyramid.levels.PyramidTile` fetches, resolved in layers:
 
-1. **Shared tile cache** (:class:`TileCache`): digest-keyed LRU of
-   finished tile results, shared by every session. A tile any viewer has
-   already seen costs nothing — the million-user case is many viewers
-   converging on the same hot regions.
+1. **Shared tile cache** (a :class:`~repro.cache.LRU` keyed by content
+   digest): finished tile results, shared by every session. A tile any
+   viewer has already seen costs nothing and skips submission entirely —
+   the million-user case is many viewers converging on the same hot
+   regions, and identical pixels anywhere on the slide share one entry.
 2. **In-flight join**: a tile some session is already waiting on is
    *joined*, not resubmitted — the new session rides the same future.
    (The engine would collapse the duplicate anyway; joining here avoids
@@ -37,69 +38,19 @@ than merely reordering the same queue.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..cache import LRU
 from ..quadtree.hilbert import hilbert_sort_order
 from ..quadtree.morton import morton_sort_order
 from ..serve.metrics import MetricsRegistry
 from ..serve.queueing import EngineOverloaded
 from .levels import PyramidTile, TilePyramid
 
-__all__ = ["TileCache", "TileTask", "ViewportReport", "PyramidService"]
-
-
-class TileCache:
-    """Cross-session LRU of finished tile results, keyed by content digest.
-
-    Sits *above* the engine's result cache: a hit here skips submission
-    entirely (no queueing, no admission risk), and because the key is the
-    content digest, identical tiles — background regions repeated across
-    a slide, the same region viewed by different users, even coincident
-    pixels at different pyramid levels — all collapse to one entry.
-    """
-
-    def __init__(self, items: int = 512):
-        if items < 1:
-            raise ValueError("cache needs at least one slot")
-        self.items = items
-        self._store: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, digest: Hashable) -> Optional[np.ndarray]:
-        value = self._store.get(digest)
-        if value is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(digest)
-        self.hits += 1
-        return value
-
-    def put(self, digest: Hashable, value: np.ndarray) -> None:
-        if digest in self._store:
-            self._store.move_to_end(digest)
-            return
-        frozen = np.asarray(value).copy()
-        frozen.setflags(write=False)
-        self._store[digest] = frozen
-        while len(self._store) > self.items:
-            self._store.popitem(last=False)
-            self.evictions += 1
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {"items": len(self._store), "capacity": self.items,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self.hits / total if total else 0.0}
+__all__ = ["TileTask", "ViewportReport", "PyramidService"]
 
 
 @dataclass
@@ -203,7 +154,7 @@ class PyramidService:
         self.lane = lane
         self.prefetch_lane = prefetch_lane
         self.clock = clock
-        self.cache = TileCache(cache_items)
+        self.cache = LRU(cache_items)
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         #: digest -> in-flight TileTask (cross-session join point)
@@ -330,7 +281,9 @@ class PyramidService:
             if exc is not None:
                 self.metrics.inc("failed")
                 return
-            self.cache.put(task.digest, fut.result())
+            # private copy: the cache freezes what it holds, and the
+            # future's array belongs to whoever else waits on it
+            self.cache.put(task.digest, np.array(fut.result()))
             self.metrics.inc("completed")
 
     # -- the front door ----------------------------------------------------
@@ -453,16 +406,12 @@ class PyramidService:
     # -- results & introspection ------------------------------------------
     def tile_result(self, task: TileTask) -> np.ndarray:
         """The finished result for a task (cache first, then its future)."""
-        value = self._store_peek(task.digest)
+        value = self.cache.peek(task.digest)
         if value is not None:
             return value
         if task.future is None:
             raise LookupError(f"tile {task.tile} has no pending result")
         return task.future.result()
-
-    def _store_peek(self, digest: Hashable) -> Optional[np.ndarray]:
-        # peek without perturbing hit accounting (test/bench introspection)
-        return self.cache._store.get(digest)
 
     @property
     def outstanding(self) -> int:

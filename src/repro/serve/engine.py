@@ -50,13 +50,13 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..cache import LRU
 # The engine keys its result cache with the same content digest the
 # pipeline uses for its sequence cache, so one hash serves both layers
 # (and the two caches can never disagree about what "the same image" is).
@@ -167,7 +167,8 @@ class InferenceEngine:
         self.metrics = MetricsRegistry()
         self._queue = FairQueue(cfg.lanes, max_depth=cfg.max_queue)
         self._cond = threading.Condition()
-        self._results: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+        self._results = (LRU(cfg.result_cache_items)
+                         if cfg.result_cache_items > 0 else None)
         self._inflight: Dict[Hashable, Request] = {}
         self._collapsed: Dict[int, List] = {}     # id(req) -> [(submit_t, fut)]
         self._ewma_batch_s: Optional[float] = None
@@ -190,26 +191,17 @@ class InferenceEngine:
         self.predictor.trace_label = label
 
     # -- submission --------------------------------------------------------
-    def _cache_get(self, digest: Hashable) -> Optional[np.ndarray]:
-        if self.config.result_cache_items <= 0:
-            return None
-        hit = self._results.get(digest)
-        if hit is not None:
-            self._results.move_to_end(digest)
-        return hit
-
     def _cache_put(self, digest: Hashable, value: np.ndarray) -> None:
-        if self.config.result_cache_items <= 0 or digest is None:
+        if self._results is None or digest is None:
             return
-        # Freeze a private copy: the caller's array stays writable
-        # (predict_batch parity), while the cached one — shared by every
-        # future cache hit — cannot be poisoned in place.
-        frozen = value.copy()
-        frozen.setflags(write=False)
-        self._results[digest] = frozen
-        while len(self._results) > self.config.result_cache_items:
-            self._results.popitem(last=False)
-            self.metrics.inc("result_cache_evictions")
+        # Cache a private copy (the LRU freezes it): the caller's array
+        # stays writable (predict_batch parity), while the cached one —
+        # shared by every future cache hit — cannot be poisoned in place.
+        evicted = self._results.evictions
+        self._results.put(digest, value.copy())
+        if self._results.evictions > evicted:
+            self.metrics.inc("result_cache_evictions",
+                             self._results.evictions - evicted)
 
     def retry_after_hint(self) -> float:
         """Seconds until capacity is likely free (admission-reject hint)."""
@@ -240,17 +232,18 @@ class InferenceEngine:
         fresh_images: List[np.ndarray] = []
         hits: Dict[int, np.ndarray] = {}
         chained: List[tuple] = []    # (id(primary), entry) made by THIS call
-        cache_on = self.config.result_cache_items > 0
+        cache = self._results
         # hash outside the lock: digests depend only on the payloads, and
         # holding the condition while hashing S slices would stall the
         # batcher thread for the whole volume
-        digests = [_digest(image) if cache_on else None for image in images]
+        digests = [_digest(image) if cache is not None else None
+                   for image in images]
         tracer = self.tracer
         track = self.trace_label
         with self._cond:
             for i, image in enumerate(images):
                 digest = digests[i]
-                cached = self._cache_get(digest) if digest is not None else None
+                cached = cache.get(digest) if digest is not None else None
                 if cached is not None:
                     hits[i] = cached
                     futures.append(Future())
@@ -335,9 +328,9 @@ class InferenceEngine:
 
     def _rollback(self, fresh: List[Request], exc: BaseException,
                   chained: Sequence[tuple] = ()) -> int:
-        """Undo reservations for a failed admission (caller holds the lock);
-        twin futures chained onto them fail with ``exc``. Returns the number
-        of requests torn down.
+        """Undo reservations for a failed admission or batch (caller holds
+        the lock); twin futures chained onto them fail with ``exc``. Returns
+        the number of requests torn down.
 
         ``chained`` lists the ``(id(primary), entry)`` collapse
         registrations *this* admission made, including those riding
@@ -429,7 +422,19 @@ class InferenceEngine:
         t0 = time.perf_counter()
         # Pump the shared work-graph scheduler: the exact predict_batch
         # grouping and fit/collate/forward/stitch, one implementation.
-        maps = self.scheduler.execute([r.seq for r in batch])
+        try:
+            maps = self.scheduler.execute([r.seq for r in batch])
+        except BaseException as exc:
+            # Fail the whole batch through the admission teardown: drop the
+            # reservations (or every later identical payload would collapse
+            # onto a dead primary and hang), fail the collapsed twins, and
+            # close the trace intervals — then resolve the primaries too.
+            with self._cond:
+                failed = self._rollback(batch, exc)
+            for r in batch:
+                r.future.set_exception(exc)
+            self.metrics.inc("failed", failed)
+            raise
         real_s = time.perf_counter() - t0
         length = batch[0].bucket
         cost = (self.service_model.cost(len(batch), length)
@@ -683,7 +688,10 @@ class InferenceEngine:
                                             force=not self._running)
                 self.metrics.gauge("queue_depth").set(len(self._queue))
             if batch:
-                self._run(batch, now)
+                try:
+                    self._run(batch, now)
+                except Exception:
+                    pass    # the batch's futures carry the error; keep serving
 
     # -- introspection -----------------------------------------------------
     @property
@@ -701,7 +709,8 @@ class InferenceEngine:
         """Counters, latency/batch histograms, queue depths, cache state."""
         with self._cond:
             queue = self._queue.depths()
-            cache = {"items": len(self._results),
+            cache = {"items": (len(self._results)
+                               if self._results is not None else 0),
                      "capacity": self.config.result_cache_items,
                      "inflight": len(self._inflight)}
         # Observability for streaming backpressure: how deep the waiting

@@ -67,12 +67,12 @@ class SparseRuntime:
         seq = node.seq
         key = sequence_digest(seq)
         hit = self.memo.get(key)
+        self.stats["memo_hits"] = self.memo.hits
+        self.stats["memo_misses"] = self.memo.misses
         if hit is not None:
-            self.stats["memo_hits"] += 1
-            node.result = hit
+            node.result = hit.copy()    # the caller owns a writable result
             node.done = True
             return
-        self.stats["memo_misses"] += 1
         node.memo_key = key
 
         choice, plan, seeds = self._plan(seq)
@@ -187,7 +187,7 @@ class SparseRuntime:
                 scene = full.volume_size
             for i in plan.seeds:
                 self.table.put(BackgroundTable.key(
-                    plan.digests[i], full.sizes[i], scene), out[i])
+                    plan.digests[i], full.sizes[i], scene), out[i].copy())
             self.stats["table_seeds"] += len(plan.seeds)
         return out
 
@@ -204,11 +204,11 @@ class SparseRuntime:
         if not keys or logits_row.shape[0] < len(node.seq):
             return
         for key, i in keys:
-            self.table.put(key, logits_row[i])
+            self.table.put(key, logits_row[i].copy())
         self.stats["table_seeds"] += len(keys)
 
     # -- memo population ---------------------------------------------------
     def finish(self, node, result: np.ndarray) -> None:
         """Store a freshly stitched result under the node's memo key."""
         if getattr(node, "memo_key", None) is not None:
-            self.memo.put(node.memo_key, result)
+            self.memo.put(node.memo_key, result.copy())

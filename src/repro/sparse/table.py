@@ -10,51 +10,22 @@ from their second sighting on.
 stitched probability map: a replay cache, bitwise-identical to
 recomputation under the same configuration.
 
-Both are LRU with hit/miss accounting; stored arrays are copied on the
-way in and out so cached state can never alias caller buffers.
+Both are :class:`~repro.cache.LRU` maps; the runtime copies arrays on the
+way in and out, so cached state never aliases a caller's buffer.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+
+from ..cache import LRU
 
 __all__ = ["BackgroundTable", "SequenceMemo"]
 
 
-class _LRUArrays:
-    """Least-recently-used map of hashable keys to defensive array copies."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        hit = self._items.get(key)
-        if hit is None:
-            self.misses += 1
-            return None
-        self._items.move_to_end(key)
-        self.hits += 1
-        return hit.copy()
-
-    def put(self, key: Hashable, value: np.ndarray) -> None:
-        self._items[key] = np.asarray(value).copy()
-        self._items.move_to_end(key)
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)
-
-
-class BackgroundTable(_LRUArrays):
+class BackgroundTable(LRU):
     """Digest-keyed cache of per-token logits rows for background patches."""
 
     @staticmethod
@@ -63,5 +34,5 @@ class BackgroundTable(_LRUArrays):
         return (digest.tobytes(), int(size), int(scene))
 
 
-class SequenceMemo(_LRUArrays):
+class SequenceMemo(LRU):
     """Exact-byte sequence digest -> stitched probability map."""

@@ -25,12 +25,12 @@ Two concrete sources:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Protocol, Tuple
 
 import numpy as np
 from scipy import ndimage
 
+from ..cache import LRU
 from ..data.synthetic_paip import _ORGAN_PARAMS, NUM_ORGAN_CLASSES, PAIPSample
 
 __all__ = ["TiledSource", "ArraySource", "VirtualWSISource"]
@@ -170,8 +170,6 @@ class VirtualWSISource:
         if resolution < tile or resolution % tile:
             raise ValueError(f"resolution {resolution} must be a positive "
                              f"multiple of tile {tile}")
-        if cache_tiles < 1:
-            raise ValueError("cache_tiles must be >= 1")
         if organ is None:
             root = np.random.default_rng(
                 np.random.SeedSequence([resolution, seed, 0xA1]))
@@ -184,9 +182,7 @@ class VirtualWSISource:
         self.organ = organ
         self.tile = tile
         self.shape = (resolution, resolution, 3)
-        self._cache: "OrderedDict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]" \
-            = OrderedDict()
-        self._cache_tiles = cache_tiles
+        self._cache = LRU(cache_tiles)    # (ty, tx) -> frozen (image, mask)
 
     @property
     def grid(self) -> Tuple[int, int]:
@@ -201,7 +197,6 @@ class VirtualWSISource:
             raise ValueError(f"tile ({ty}, {tx}) outside grid {self.grid}")
         hit = self._cache.get((ty, tx))
         if hit is not None:
-            self._cache.move_to_end((ty, tx))
             return hit
         rng = np.random.default_rng(np.random.SeedSequence(
             [self.resolution, self.seed, self.organ, self.tile, ty, tx, 0xF1]))
@@ -241,9 +236,7 @@ class VirtualWSISource:
         # Cached tiles are shared across reads — freeze them.
         img.setflags(write=False)
         mask.setflags(write=False)
-        self._cache[(ty, tx)] = (img, mask)
-        while len(self._cache) > self._cache_tiles:
-            self._cache.popitem(last=False)
+        self._cache.put((ty, tx), (img, mask))
         return img, mask
 
     def tile_sample(self, ty: int, tx: int) -> PAIPSample:

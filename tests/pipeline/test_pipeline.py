@@ -7,7 +7,7 @@ import pytest
 from repro import nn
 from repro.data import DataLoader, SyntheticPAIP, generate_wsi
 from repro.models import ViTSegmenter
-from repro.patching import LRUPatchCache
+from repro.patching import AdaptivePatcher
 from repro.pipeline import CollatedBatch, PatchPipeline, collate_batch
 from repro.train import TokenSegmentationTask, Trainer
 
@@ -17,28 +17,28 @@ def images(res, n, start=0):
 
 
 class TestLRUCache:
+    """The pipeline's sequence cache is least-recently-used: a hit
+    refreshes its entry, so eviction drops the entry used longest ago."""
+
     def test_eviction_order(self):
-        cache = LRUPatchCache(max_items=2)
-        cache.put("a", "A")
-        cache.put("b", "B")
-        assert cache.get("a") == "A"   # refreshes a
-        cache.put("c", "C")            # evicts b (least recently used)
-        assert cache.get("b") is None
-        assert cache.get("a") == "A"
-        assert cache.get("c") == "C"
-        assert cache.evictions == 1
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, cache_items=2)
+        a, b, c = images(64, 3)
+        pipe.process([a, b], keys=["a", "b"])
+        pipe.process([a], keys=["a"])      # refreshes a
+        pipe.process([c], keys=["c"])      # evicts b (least recently used)
+        assert pipe.cache.peek("b") is None
+        assert pipe.cache.peek("a") is not None
+        assert pipe.cache.peek("c") is not None
+        assert pipe.stats["evictions"] == 1
 
     def test_get_or_build_lru(self):
-        cache = LRUPatchCache(max_items=1)
-        cache.get_or_build("x", lambda: 1)
-        cache.get_or_build("y", lambda: 2)
-        assert cache.evictions == 1
-        assert cache.get_or_build("y", lambda: 3) == 2
-        assert cache.hits == 1
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            LRUPatchCache(max_items=0)
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, cache_items=1)
+        x, y = images(64, 2)
+        pipe.process([x], keys=["x"])
+        [built] = pipe.process([y], keys=["y"])
+        assert pipe.stats["evictions"] == 1
+        assert pipe.process([y], keys=["y"])[0] is built
+        assert pipe.stats["hits"] == 1
 
 
 class TestPipelineCache:
@@ -73,6 +73,10 @@ class TestPipelineCache:
         pipe.process(imgs)
         assert pipe.stats == {}
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError):
+            PatchPipeline(patch_size=4, cache_items=-1)
+
     def test_eviction_under_capacity_pressure(self):
         pipe = PatchPipeline(patch_size=4, split_value=2.0, cache_items=2)
         imgs = images(64, 4)
@@ -91,6 +95,65 @@ class TestPipelineCache:
         for _ in loader:
             pass
         assert pipe.stats["hits"] >= 5
+
+
+class TestSingleImageDropIn:
+    """The task-adapter pathway: ``pipe(image)`` is a cached natural
+    sequence plus a fresh drop, a drop-in for a plain patcher."""
+
+    def test_same_geometry_as_uncached(self):
+        img = images(64, 1)[0]
+        plain = AdaptivePatcher(patch_size=4, split_value=2.0)(img)
+        piped = PatchPipeline(patch_size=4, split_value=2.0)(img)
+        np.testing.assert_array_equal(plain.ys, piped.ys)
+        np.testing.assert_array_equal(plain.patches, piped.patches)
+
+    def test_second_call_hits_cache(self):
+        pipe = PatchPipeline(patch_size=4, split_value=2.0)
+        img = images(64, 1)[0]
+        pipe(img, keys="x")
+        pipe(img, keys="x")
+        assert pipe.stats["hits"] == 1 and pipe.stats["misses"] == 1
+        assert pipe.stats["build_seconds"] > 0
+
+    def test_content_keying_without_explicit_key(self):
+        pipe = PatchPipeline(patch_size=4, split_value=2.0)
+        a, b = images(64, 2)
+        pipe(a)
+        pipe(a)                            # same content, same key
+        pipe(b)
+        assert pipe.stats["hits"] == 1 and pipe.stats["misses"] == 2
+
+    def test_drops_still_random_after_cache(self):
+        # The cached natural sequence is shared but the drop step must stay
+        # stochastic across calls (training-time augmentation).
+        pipe = PatchPipeline(patch_size=2, split_value=0.5, target_length=10)
+        img = images(64, 1)[0]
+        s1 = pipe(img, keys="k")
+        s2 = pipe(img, keys="k")
+        assert pipe.stats["misses"] == 1
+        assert len(s1) == len(s2) == 10
+        # Different drops almost surely pick different leaves.
+        assert (not np.array_equal(s1.ys, s2.ys)
+                or not np.array_equal(s1.xs, s2.xs))
+
+    def test_extract_natural_cached(self):
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, target_length=32)
+        img = images(64, 1)[0]
+        assert pipe.extract_natural(img) is pipe.extract_natural(img)
+
+    def test_works_in_token_task(self):
+        sample = generate_wsi(64, seed=0)
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, target_length=128)
+        model = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1,
+                             heads=2, max_len=256)
+        task = TokenSegmentationTask(model, pipe, channels=1)
+        loss1 = task.val_loss([sample])
+        loss2 = task.val_loss([sample])
+        assert np.isfinite(loss1) and np.isfinite(loss2)
+        assert pipe.stats["hits"] >= 1
+        # Evaluation path must use the natural (no-drop) sequence.
+        assert task.predict_probs(sample).shape == (1, 64, 64)
 
 
 class TestKeying:

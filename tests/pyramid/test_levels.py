@@ -118,6 +118,30 @@ class TestPixels:
         assert py.stats["cache_hits"] == 1
         assert py.stats["synthesized"] == 1
 
+    def test_eviction_order_pins_stats(self):
+        # A fixed call sequence through a 4-tile pixel cache that forces
+        # eviction and re-synthesis; the counts after each call pin the
+        # LRU's exact eviction order (the viewer report depends on it).
+        py = TilePyramid(_array_source(channels=0), tile=32, cache_tiles=4)
+        T = PyramidTile
+        calls = [
+            (py.tile_pixels, T(1, 0, 0), (4, 1, 0)),
+            (py.tile_pixels, T(0, 0, 0), (5, 1, 0)),
+            (py.tile_pixels, T(0, 1, 1), (5, 1, 1)),
+            (py.digest, T(2, 0, 0), (17, 5, 2)),
+            (py.tile_pixels, T(1, 0, 0), (21, 6, 2)),
+            (py.tile_pixels, T(1, 1, 1), (25, 7, 2)),
+            (py.digest, T(1, 0, 0), (29, 8, 2)),
+            (py.digest, T(0, 0, 0), (30, 8, 2)),
+            (py.tile_pixels, T(0, 0, 0), (30, 8, 3)),
+            (py.tile_pixels, T(2, 0, 0), (42, 12, 4)),
+            (py.digest, T(3, 0, 0), (90, 28, 5)),
+        ]
+        for call, tile, (synth, down, hits) in calls:
+            call(tile)
+            assert py.stats == {"synthesized": synth, "downsampled": down,
+                                "cache_hits": hits}, (call.__name__, tile)
+
     def test_returned_tiles_are_frozen(self):
         py = TilePyramid(_array_source(), tile=128)
         px = py.tile_pixels(PyramidTile(0, 0, 0))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.models.vit import ViTSegmenter
 from repro.pipeline import PatchPipeline
-from repro.pyramid import PyramidService, PyramidTile, TileCache, TilePyramid
+from repro.pyramid import PyramidService, PyramidTile, TilePyramid
 from repro.quadtree.hilbert import hilbert_encode
 from repro.serve import InferenceEngine, Predictor, ServiceModel, SimClock
 from repro.stream.source import ArraySource
@@ -39,33 +39,26 @@ def _service(**kw):
 
 
 class TestTileCache:
+    """The service's tile-result cache: ``svc.cache``, reported as
+    ``stats()["tile_cache"]``."""
+
     def test_lru_and_stats(self):
-        cache = TileCache(items=2)
+        svc, _, _ = _service(cache_items=2)
         a, b, c = (np.full((2, 2), v) for v in (1.0, 2.0, 3.0))
-        cache.put("a", a)
-        cache.put("b", b)
-        assert cache.get("a") is not None      # refresh a
-        cache.put("c", c)                      # evicts b
-        assert cache.get("b") is None
-        assert cache.get("c") is not None
-        stats = cache.stats()
+        svc.cache.put("a", a)
+        svc.cache.put("b", b)
+        assert svc.cache.get("a") is not None  # refresh a
+        svc.cache.put("c", c)                  # evicts b
+        assert svc.cache.get("b") is None
+        assert svc.cache.get("c") is not None
+        stats = svc.stats()["tile_cache"]
         assert stats["evictions"] == 1
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert 0 < stats["hit_rate"] < 1
 
-    def test_values_frozen_and_copied(self):
-        cache = TileCache()
-        src = np.zeros((2, 2))
-        cache.put("k", src)
-        src[0, 0] = 99.0                       # caller mutation isolated
-        got = cache.get("k")
-        assert got[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            got[0, 0] = 1.0
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            TileCache(items=0)
+            _service(cache_items=0)
 
 
 class TestResolveLadder:
@@ -78,6 +71,19 @@ class TestResolveLadder:
         assert again.cache_hits == 4 and again.submitted == 0
         assert all(t.cached and t.done_t == t.submit_t for t in again.tasks)
         assert svc.outstanding == 0
+
+    def test_cached_results_are_frozen_private_copies(self):
+        svc, engine, _ = _service(prefetch_tiles=0)
+        task = svc.request_viewport("a", 0, (0, 0), (32, 32)).tasks[0]
+        engine.drain()
+        fresh = task.future.result()
+        cached = svc.cache.peek(task.digest)
+        np.testing.assert_array_equal(cached, fresh)
+        fresh[0, 0, 0] = 99.0              # the future's array stays writable
+        assert cached[0, 0, 0] != 99.0     # and does not alias the cache
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        assert svc.stats()["tile_cache"]["hits"] == 0   # peek counts nothing
 
     def test_cross_session_join(self):
         svc, engine, _ = _service(prefetch_tiles=0)

@@ -434,6 +434,57 @@ class TestThreadedEngine:
             engine.stats()["engine"].get("cache_hits", 0) == len(imgs)
 
 
+def _fail_first_execute(engine, monkeypatch):
+    """Make the engine's next ``scheduler.execute`` raise, then recover."""
+    real = engine.scheduler.execute
+    calls = []
+
+    def execute(seqs):
+        calls.append(len(seqs))
+        if len(calls) == 1:
+            raise RuntimeError("injected execute failure")
+        return real(seqs)
+
+    monkeypatch.setattr(engine.scheduler, "execute", execute)
+
+
+class TestFailedBatch:
+    """A batch whose execution raises fails its futures and twins and
+    leaves no reservation behind, so the same payload can run again."""
+
+    def test_drain_mode_resubmission_resolves(self, monkeypatch):
+        img = _images(1)[0]
+        engine, _ = _sim_engine(_predictor(_model()))
+        _fail_first_execute(engine, monkeypatch)
+        primary = engine.submit(img)
+        twin = engine.submit(img)               # collapses onto primary
+        with pytest.raises(RuntimeError):
+            engine.drain()                      # callers still see the error
+        for fut in (primary, twin):
+            assert isinstance(fut.exception(timeout=0), RuntimeError)
+        s = engine.stats()
+        assert s["result_cache"]["inflight"] == 0 and engine.pending == 0
+        assert s["engine"]["failed"] == 2
+        again = engine.submit(img)              # not chained to a dead primary
+        engine.drain()
+        assert again.result(timeout=0).shape == (1, 64, 64)
+
+    def test_threaded_batcher_survives(self, monkeypatch):
+        img = _images(1)[0]
+        engine = InferenceEngine(_predictor(_model()), flush_deadline=0.005)
+        _fail_first_execute(engine, monkeypatch)
+        engine.start(warmup=False)
+        try:
+            with pytest.raises(RuntimeError):
+                engine.submit(img).result(timeout=60)
+            assert engine.is_running
+            again = engine.submit(img)
+            assert again.result(timeout=60).shape == (1, 64, 64)
+        finally:
+            engine.stop()
+        assert engine.stats()["result_cache"]["inflight"] == 0
+
+
 class TestObservabilityGauges:
     """ISSUE 5 satellite: result-cache hit rate + peak queue depth in stats()."""
 

@@ -187,6 +187,19 @@ class TestMemo:
         p.predict_image(corner_image(seed=1))
         assert p.stats["sparsity"]["memo_hits"] == 0
 
+    def test_defensive_copies_both_ways(self):
+        p = _predictor(SparsityConfig(mode="auto"))
+        img = corner_image()
+        first = p.predict_image(img)
+        expected = first.copy()
+        first[...] = 9.0                   # caller mutation after the put
+        replay = p.predict_image(img)      # memo hit
+        assert p.stats["sparsity"]["memo_hits"] == 1
+        np.testing.assert_array_equal(replay, expected)
+        replay[...] = 7.0                  # hits are writable private copies
+        np.testing.assert_array_equal(p.predict_image(img), expected)
+        assert p.stats["sparsity"]["memo_hits"] == 2
+
 
 class TestFrontendVisibility:
     def test_engine_stats_surface_decisions(self):

@@ -8,7 +8,8 @@ from repro import nn
 from repro.data import (SyntheticBTCV, SyntheticPAIP, generate_wsi,
                         train_val_test_split)
 from repro.models import UNETR2D, ViTClassifier, ViTSegmenter
-from repro.patching import AdaptivePatcher, CachingPatcher, UniformPatcher
+from repro.patching import AdaptivePatcher, UniformPatcher
+from repro.pipeline import PatchPipeline
 from repro.train import (SequenceClassificationTask, TokenSegmentationTask,
                          Trainer, UNETRTask, load_checkpoint, save_checkpoint)
 
@@ -34,8 +35,8 @@ class TestSegmentationPipeline:
     def test_cached_patcher_end_to_end_matches_eval(self):
         samples = paip(4, 32)
         base = AdaptivePatcher(patch_size=4, split_value=2.0, target_length=48)
-        cached = CachingPatcher(AdaptivePatcher(patch_size=4, split_value=2.0,
-                                                target_length=48))
+        cached = PatchPipeline(patch_size=4, split_value=2.0,
+                               target_length=48)
         m1 = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1, heads=2,
                           max_len=64, rng=np.random.default_rng(1))
         m2 = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1, heads=2,
@@ -44,7 +45,7 @@ class TestSegmentationPipeline:
         t2 = TokenSegmentationTask(m2, cached, channels=1)
         # Same weights → same eval dice (eval path has no randomness).
         assert t1.evaluate(samples) == pytest.approx(t2.evaluate(samples))
-        assert cached.cache.misses == len(samples)
+        assert cached.stats["misses"] == len(samples)
 
     def test_unetr_pipeline_with_dataset_splits(self):
         ds = SyntheticPAIP(32, n=8)

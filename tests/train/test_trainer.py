@@ -180,3 +180,27 @@ class TestTaskAdapters:
         task = ImageClassificationTask(model, channels=3)
         assert np.isfinite(task.val_loss(samples))
         assert 0 <= task.evaluate(samples) <= 100
+
+
+class TestTrainerNanGuard:
+    def test_nonfinite_loss_raises(self):
+        class BadTask:
+            def __init__(self):
+                self.w = nn.Parameter(np.ones(1))
+
+            def parameters(self):
+                return [self.w]
+
+            def batch_loss(self, batch):
+                return (self.w * np.nan).sum()
+
+            def val_loss(self, batch):
+                return 0.0
+
+            def evaluate(self, batch):
+                return 0.0
+
+        task = BadTask()
+        tr = Trainer(task, nn.SGD(task.parameters(), lr=0.1), batch_size=1)
+        with pytest.raises(FloatingPointError):
+            tr.train_epoch([0])
