@@ -7,18 +7,20 @@ paper-faithful reference implementation). The speed comes from three places:
 
 1. **Screened sparse Canny** (stages 1-2). Detail is spatially sparse — the
    paper's core premise — so most pixels cannot possibly reach the low
-   hysteresis threshold. A cheap local bound (``|∇| ≤ 8·√2 · max₃ₓ₃ |Δ|`` for
-   the 3×3 Sobel over adjacent differences) screens them out, and the exact
-   Sobel / NMS / threshold arithmetic runs only on the surviving ~10%. Every
-   retained computation replays the reference operations on the same scalars
-   (same ufuncs, same tap order), so the resulting edge mask is equal
-   bit-for-bit, not merely close.
+   hysteresis threshold. A separable Sobel screen compares ``gx²+gy²`` with
+   ``low`` minus a proven rounding slack (2⁻⁴⁰·max|f|) and keeps ~2% of the
+   pixels of a whole-slide tile; the exact Sobel / NMS / threshold
+   arithmetic runs only on those. Every retained computation replays the
+   reference operations on the same scalars (same ufuncs, same tap order),
+   so the resulting edge mask is equal bit-for-bit, not merely close.
+   Hysteresis labels the weak pixels and reads labels back only there.
 2. **Level-synchronous batched quadtree** (stage 3) via
-   :func:`~repro.quadtree.tree.build_quadtree_batch`: one shared frontier and
-   a single ``_region_sums`` call per depth across all images.
-3. **Buffer-reuse in the dense stages**: per-batch scratch arrays feed the
-   blur/screen passes in place instead of allocating ~15 full-image
-   temporaries per image.
+   :func:`~repro.quadtree.tree.build_quadtree_batch`: one shared frontier,
+   a single region-sum lookup per depth across all images, and summed-area
+   tables built only on the ``patch_size`` grid the builder queries.
+3. **Cache-sized dense passes**: the blur and the screen run per block of
+   rows through per-batch scratch buffers, so their ~12 elementwise passes
+   each stay in L2 instead of streaming full-image temporaries.
 
 Dense full-image work (blur, screening, gather) deliberately stays per-image
 inside the batch loop: on bandwidth-bound hosts, streaming a (B, Z, Z)
@@ -43,10 +45,15 @@ from ..quadtree import QuadtreeLeaves, balance_2to1, build_quadtree_batch
 
 __all__ = ["BatchedAdaptivePatcher"]
 
-#: Sobel magnitude bound: |gx|, |gy| ≤ 8·max|Δ| over the 3×3 neighbourhood,
-#: so mag = √(gx²+gy²) ≤ 8·√2·max|Δ|. The (1 - 1e-6) slack absorbs the ~1e-16
-#: relative rounding of the screen itself; the bound stays a strict superset.
-_SCREEN_FACTOR = 1.0 / (8.0 * np.sqrt(2.0)) * (1.0 - 1e-6)
+#: Screen slack relative to max|f|: the rounding gap between the screen's
+#: separable Sobel and the reference taps stays below 150·2⁻⁵³·max|f| (see
+#: :func:`_screen_candidates`); 2⁻⁴⁰ = 8192·2⁻⁵³ leaves a 54x margin and
+#: still drops only pixels whose magnitude is provably below ``low``.
+_SCREEN_SLACK = 2.0 ** -40
+
+#: Elements per row block in the dense passes: a block of every temporary
+#: stays in L2 instead of streaming full-image arrays through memory.
+_BLOCK = 16384
 
 
 class _Scratch:
@@ -83,83 +90,121 @@ def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
 
     ``ndimage.correlate1d`` evaluates a symmetric 3-tap kernel as
     ``k₁·center + k₀·(left + right)``; replaying that exact accumulation with
-    shifted whole-array ops reproduces its output bit-for-bit at a fraction
+    shifted whole-row ops reproduces its output bit-for-bit at a fraction
     of the cost (no per-line Python dispatch, no ndimage buffer copies).
+    Both passes run per block of rows, which changes no operation.
     The result lives in a scratch buffer — consume it before the next call.
     """
-    k = gaussian_kernel1d(3)
+    k0, k1 = gaussian_kernel1d(3)[:2]
+    z, w = gray.shape
     sc = scratch if scratch is not None else _Scratch()
-    pair = sc.get("blur_pair", gray.shape)
-    t = sc.get("blur_t", gray.shape)
     out = sc.get("blur_out", gray.shape)
-    # Vertical pass: t = k1*gray + k0*(up + down), reflect boundary.
-    np.add(gray[:-2], gray[2:], out=pair[1:-1])      # rows 1..z-2
-    np.add(gray[0], gray[1], out=pair[0])            # row 0: up reflects to 0
-    np.add(gray[-2], gray[-1], out=pair[-1])         # row z-1: down reflects
-    np.multiply(pair, k[0], out=pair)
-    np.multiply(gray, k[1], out=t)
-    np.add(t, pair, out=t)
-    # Horizontal pass on t, same accumulation.
-    np.add(t[:, :-2], t[:, 2:], out=pair[:, 1:-1])
-    np.add(t[:, 0], t[:, 1], out=pair[:, 0])
-    np.add(t[:, -2], t[:, -1], out=pair[:, -1])
-    np.multiply(pair, k[0], out=pair)
-    np.multiply(t, k[1], out=out)
-    np.add(out, pair, out=out)
+    rows = max(1, _BLOCK // w)
+    pair_buf = sc.get("blur_pair", (rows, w))
+    t_buf = sc.get("blur_t", (rows, w))
+    for r0 in range(0, z, rows):
+        r1 = min(r0 + rows, z)
+        pair, t, o = pair_buf[:r1 - r0], t_buf[:r1 - r0], out[r0:r1]
+        # Vertical pass: t = k1*gray + k0*(up + down), reflect boundary.
+        lo, hi = max(r0, 1), min(r1, z - 1)         # rows inside the image
+        np.add(gray[lo - 1:hi - 1], gray[lo + 1:hi + 1],
+               out=pair[lo - r0:hi - r0])
+        if r0 == 0:
+            np.add(gray[0], gray[1], out=pair[0])    # up reflects to row 0
+        if r1 == z:
+            np.add(gray[-2], gray[-1], out=pair[-1])  # down reflects
+        np.multiply(pair, k0, out=pair)
+        np.multiply(gray[r0:r1], k1, out=t)
+        np.add(t, pair, out=t)
+        # Horizontal pass on t, same accumulation.
+        np.add(t[:, :-2], t[:, 2:], out=pair[:, 1:-1])
+        np.add(t[:, 0], t[:, 1], out=pair[:, 0])
+        np.add(t[:, -2], t[:, -1], out=pair[:, -1])
+        np.multiply(pair, k0, out=pair)
+        np.multiply(t, k1, out=o)
+        np.add(o, pair, out=o)
     return out
 
 
-def _screen_candidates(f: np.ndarray, low: float,
+def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
                        scratch: Optional[_Scratch] = None) -> np.ndarray:
     """Boolean superset of ``{p : sobel_magnitude(f)(p) >= low}``.
 
-    Built from adjacent differences and a separable 3×3 max filter — three
-    cheap full-image passes instead of the full Sobel/NMS cascade.
+    ``pad`` is ``f`` reflect-padded by one pixel and ``absmax`` is
+    ``max|f|``. The screen is a separable Sobel over ``pad`` — a central
+    difference, then 1-2-1 smoothing as two adjacent-pair sums — kept
+    where ``gx²+gy² >= t²`` with ``t = low - 2⁻⁴⁰·max|f|``. With
+    ``u = 2⁻⁵³`` and ``M = max|f|`` it is a superset because:
+
+    * the reference sums six exact taps (weights ±1, ±2) whose partial
+      sums stay within 8M, so each component is within 5·8uM = 40uM of
+      the exact Sobel; the screen's differences (≤ 2uM each, weights
+      1+2+1), pair sums (≤ 4uM each) and last add (≤ 8uM) keep it within
+      24uM, so the two gradient vectors are within √2·64uM < 91uM;
+    * a reference magnitude ≥ ``low`` (``np.hypot``, < 1 ulp) means
+      ``low < 8√2·M·(1+2u) < 11.4M``, a reference vector length
+      ≥ ``low - 23uM``, a screen vector length ≥ ``low - 114uM``, and a
+      rounded ``√(gx²+gy²)`` ≥ ``low - 126uM``;
+    * the rounded threshold has ``√fl(t²) ≤ low - 2⁻⁴⁰M + 24uM``, and
+      2⁻⁴⁰ = 8192u > 150u.
+
+    ``t`` is kept positive and normal and ``M`` far from overflow; outside
+    that (``low`` near 0, ``max|f|`` huge, NaN or inf) every pixel is a
+    candidate, which turns the sparse path into the dense reference.
+    The passes run per block of rows.
     """
+    z = pad.shape[0] - 2
+    t = low - _SCREEN_SLACK * absmax
+    if not (t > 2.0 ** -500 and absmax < 2.0 ** 1000):
+        return np.ones((z, z), dtype=bool)
+    thr = t * t
     sc = scratch if scratch is not None else _Scratch()
-    d = sc.get("scr_d", f.shape)
-    m = sc.get("scr_m", f.shape)
-    out = sc.get("scr_out", f.shape)
-    dx = sc.get("scr_dx", (f.shape[0], f.shape[1] - 1))
-    dy = sc.get("scr_dy", (f.shape[0] - 1, f.shape[1]))
-    np.subtract(f[:, 1:], f[:, :-1], out=dx)
-    np.abs(dx, out=dx)
-    np.subtract(f[1:, :], f[:-1, :], out=dy)
-    np.abs(dy, out=dy)
-    d.fill(0.0)
-    np.maximum(d[:, :-1], dx, out=d[:, :-1])
-    np.maximum(d[:, 1:], dx, out=d[:, 1:])
-    np.maximum(d[:-1, :], dy, out=d[:-1, :])
-    np.maximum(d[1:, :], dy, out=d[1:, :])
-    m[:] = d
-    np.maximum(m[:, :-1], d[:, 1:], out=m[:, :-1])
-    np.maximum(m[:, 1:], d[:, :-1], out=m[:, 1:])
-    out[:] = m
-    np.maximum(out[:-1, :], m[1:, :], out=out[:-1, :])
-    np.maximum(out[1:, :], m[:-1, :], out=out[1:, :])
-    return out >= low * _SCREEN_FACTOR
+    out = sc.get("scr_out", (z, z), dtype=bool)
+    rows = max(1, _BLOCK // z)
+    dx_buf = sc.get("scr_dx", (rows + 2, z))
+    px_buf = sc.get("scr_px", (rows + 1, z))
+    gx_buf = sc.get("scr_gx", (rows, z))
+    dy_buf = sc.get("scr_dy", (rows, z + 2))
+    py_buf = sc.get("scr_py", (rows, z + 1))
+    gy_buf = sc.get("scr_gy", (rows, z))
+    for r0 in range(0, z, rows):
+        n = min(rows, z - r0)
+        p = pad[r0:r0 + n + 2]
+        dx, px, gx = dx_buf[:n + 2], px_buf[:n + 1], gx_buf[:n]
+        dy, py, gy = dy_buf[:n], py_buf[:n], gy_buf[:n]
+        np.subtract(p[:, 2:], p[:, :-2], out=dx)
+        np.add(dx[:-1], dx[1:], out=px)
+        np.add(px[:-1], px[1:], out=gx)
+        np.subtract(p[2:], p[:-2], out=dy)
+        np.add(dy[:, :-1], dy[:, 1:], out=py)
+        np.add(py[:, :-1], py[:, 1:], out=gy)
+        np.multiply(gx, gx, out=gx)
+        np.multiply(gy, gy, out=gy)
+        np.add(gx, gy, out=gx)
+        np.greater_equal(gx, thr, out=out[r0:r0 + n])
+    return out
 
 
 def _sparse_canny(f: np.ndarray, low: float, high: float,
-                  scratch: Optional[_Scratch] = None) -> np.ndarray:
+                  scratch: Optional[_Scratch] = None,
+                  absmax: Optional[float] = None) -> np.ndarray:
     """Canny edge mask of a 0-255-scaled image, bit-identical to
     :func:`repro.imaging.canny.canny_edges` on the same input.
 
-    Pixels outside the screen bound cannot reach ``low``; for the rest, the
-    Sobel taps are accumulated in ``ndimage.correlate``'s order (zero weights
-    skipped), and magnitude / angle / sector / NMS comparisons reuse the
-    reference ufuncs on the gathered values. A pixel below the screen can
-    never out-compare an NMS candidate (its magnitude is provably below
-    ``low`` ≤ the candidate's), so treating it as 0 — exactly like the
-    reference's zero padding — changes no decision.
+    Pixels outside the screen cannot reach ``low``; for the rest, the
+    Sobel taps are accumulated in ``ndimage.correlate``'s order (zero
+    weights skipped), and magnitude / angle / sector / NMS comparisons
+    reuse the reference ufuncs on the gathered values. A pixel below the
+    screen can never out-compare an NMS candidate (its magnitude is
+    provably below ``low`` ≤ the candidate's), so treating it as 0 —
+    exactly like the reference's zero padding — changes no decision.
+    Hysteresis labels the weak pixels and reads the labels back only at
+    their coordinates. ``absmax`` is ``max|f|`` when the caller has it.
     """
     z = f.shape[0]
     sc = scratch if scratch is not None else _Scratch()
-    cand = _screen_candidates(f, low, sc)
-    cy, cx = np.nonzero(cand)
-    if not len(cy):
-        return np.zeros((z, z), dtype=bool)
-
+    if absmax is None:
+        absmax = max(float(f.max()), -float(f.min()))
     # Symmetric pad (== ndimage mode="reflect") into a reused buffer.
     pad = sc.get("pad", (z + 2, z + 2))
     pad[1:-1, 1:-1] = f
@@ -167,6 +212,12 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     pad[1:-1, -1] = f[:, -1]
     pad[0, :] = pad[1, :]
     pad[-1, :] = pad[-2, :]
+    cand = _screen_candidates(pad, low, absmax, sc)
+    cy, cx = np.divmod(np.flatnonzero(cand), z)
+    out = np.zeros((z, z), dtype=bool)
+    if not len(cy):
+        return out
+
     yy, xx = cy + 1, cx + 1
     v00 = pad[yy - 1, xx - 1]
     v01 = pad[yy - 1, xx]
@@ -202,16 +253,17 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     keep = (mag >= m1) & (mag >= m2)
 
     weak = keep & (mag >= low)
+    wy, wx = cy[weak], cx[weak]
+    if not len(wy):
+        return out
+    out[wy, wx] = True
+    labels, n = ndimage.label(out, structure=np.ones((3, 3), dtype=bool))
     strong = keep & (mag >= high)
-    ws = np.zeros((z, z), dtype=bool)
-    ws[cy[weak], cx[weak]] = True
-    labels, n = ndimage.label(ws, structure=np.ones((3, 3), dtype=bool))
-    if n == 0:
-        return np.zeros((z, z), dtype=bool)
     has_strong = np.zeros(n + 1, dtype=bool)
-    has_strong[np.unique(labels[cy[strong], cx[strong]])] = True
+    has_strong[labels[cy[strong], cx[strong]]] = True
     has_strong[0] = False
-    return has_strong[labels]
+    out[wy, wx] = has_strong[labels[wy, wx]]
+    return out
 
 
 class BatchedAdaptivePatcher(AdaptivePatcher):
@@ -251,12 +303,17 @@ class BatchedAdaptivePatcher(AdaptivePatcher):
                 blurred = gaussian_blur(gray, k)
             if cfg.criterion == "canny":
                 f = blurred
-                # canny_edges rescales [0,1] inputs to the 0-255 scale.
-                if f.size and f.max() <= 1.0 + 1e-9:
+                hi, lo = (float(f.max()), float(f.min())) if f.size \
+                    else (0.0, 0.0)
+                absmax = max(hi, -lo)
+                # canny_edges rescales [0,1] inputs to the 0-255 scale;
+                # x -> fl(255·x) is monotone and odd, so max|f| scales too.
+                if f.size and hi <= 1.0 + 1e-9:
                     f = np.multiply(blurred, 255.0,
                                     out=scratch.get("fscale", blurred.shape))
+                    absmax *= 255.0
                 out[i] = _sparse_canny(f, cfg.canny_low, cfg.canny_high,
-                                       scratch)
+                                       scratch, absmax)
             else:
                 out[i] = _variance_detail(
                     blurred, window=max(cfg.patch_size, 2)) * 16.0

@@ -167,6 +167,8 @@ class PatchPipeline:
         ``keys`` are stable per-image cache ids (e.g. dataset indices);
         omitted keys fall back to content hashing.
         """
+        if keys is not None and len(keys) != len(images):
+            raise ValueError(f"got {len(keys)} keys for {len(images)} images")
         images = [self._adapt(im) for im in images]
         if self.cache is None:
             return self._compute_natural(images)

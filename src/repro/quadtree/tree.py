@@ -126,15 +126,41 @@ class QuadtreeLeaves:
         return bool((grid == 1).all())
 
 
-def _integral(detail: np.ndarray) -> np.ndarray:
-    ii = np.cumsum(np.cumsum(detail.astype(np.float64), axis=0), axis=1)
-    return np.pad(ii, ((1, 0), (1, 0)))
+def _integral(detail: np.ndarray, step: int) -> np.ndarray:
+    """Summed-area table of ``detail`` sampled on the ``step`` grid.
+
+    Entry ``[i, j]`` is the sum of ``detail[:i*step, :j*step]`` — exactly
+    the value the dense table ``pad(cumsum(cumsum(d, 0), 1))`` holds at
+    ``[i*step, j*step]``, for any float map: the rows accumulate in
+    ``cumsum``'s order (``acc += d[y]``), only every ``step``-th running
+    row is kept, and each kept row is summed along x in full before its
+    columns are subsampled. The builders query region sums only at
+    multiples of the smallest node size, so this costs O(Z²/step)
+    beyond the row pass instead of two dense O(Z²) scans and a copy.
+    """
+    z = detail.shape[0]
+    n = z // step
+    if n == 0:
+        return np.zeros((1, 1), dtype=np.float64)
+    rows = np.empty((n, z), dtype=np.float64)
+    acc = detail[0].astype(np.float64)
+    for y in range(1, z):
+        if y % step == 0:
+            rows[y // step - 1] = acc
+        acc += detail[y]
+    rows[n - 1] = acc
+    ii = np.zeros((n + 1, n + 1), dtype=np.float64)
+    ii[1:, 1:] = np.cumsum(rows, axis=1)[:, step - 1::step]
+    return ii
 
 
 def _region_sums(ii: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                 size: int) -> np.ndarray:
-    y1, x1 = ys + size, xs + size
-    return ii[y1, x1] - ii[ys, x1] - ii[y1, xs] + ii[ys, xs]
+                 size: int, step: int) -> np.ndarray:
+    """Sums over the ``size`` squares at pixel corners ``(ys, xs)``, all
+    multiples of ``step``, from the :func:`_integral` grid table."""
+    y0, x0 = ys // step, xs // step
+    y1, x1 = y0 + size // step, x0 + size // step
+    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
 
 
 def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
@@ -171,7 +197,8 @@ def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
     if split_value < 0:
         raise ValueError("split_value must be non-negative")
 
-    ii = _integral(detail)
+    step = max(min(min_size, z), 1)   # 1 only for an empty map
+    ii = _integral(detail, step)
     leaf_ys, leaf_xs, leaf_sizes, leaf_depths, leaf_details = [], [], [], [], []
     ys = np.zeros(1, dtype=np.int64)
     xs = np.zeros(1, dtype=np.int64)
@@ -180,7 +207,7 @@ def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
     visited = 0
     while len(ys):
         visited += len(ys)
-        sums = _region_sums(ii, ys, xs, size)
+        sums = _region_sums(ii, ys, xs, size, step)
         can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
         split = (sums > split_value) if can_split else np.zeros(len(ys), dtype=bool)
         keep = ~split
@@ -213,10 +240,11 @@ def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
 
 
 def _region_sums_batch(ii: np.ndarray, bs: np.ndarray, ys: np.ndarray,
-                       xs: np.ndarray, size: int) -> np.ndarray:
-    """Batched summed-area lookup: ``ii`` is (B, Z+1, Z+1), one row per image."""
-    y1, x1 = ys + size, xs + size
-    return ii[bs, y1, x1] - ii[bs, ys, x1] - ii[bs, y1, xs] + ii[bs, ys, xs]
+                       xs: np.ndarray, size: int, step: int) -> np.ndarray:
+    """Batched :func:`_region_sums`: ``ii`` stacks one grid table per image."""
+    y0, x0 = ys // step, xs // step
+    y1, x1 = y0 + size // step, x0 + size // step
+    return ii[bs, y1, x1] - ii[bs, y0, x1] - ii[bs, y1, x0] + ii[bs, y0, x0]
 
 
 def build_quadtree_batch(details: Sequence[np.ndarray], split_value: float,
@@ -251,9 +279,11 @@ def build_quadtree_batch(details: Sequence[np.ndarray], split_value: float,
 
     b = len(maps)
     # Per-image integral images (cache-friendly), stacked for batched lookup.
-    ii = np.empty((b, z + 1, z + 1), dtype=np.float64)
+    step = max(min(min_size, z), 1)   # 1 only for an empty map
+    n = z // step
+    ii = np.empty((b, n + 1, n + 1), dtype=np.float64)
     for i, d in enumerate(maps):
-        ii[i] = _integral(d)
+        ii[i] = _integral(d, step)
 
     leaf_bs, leaf_ys, leaf_xs, leaf_sizes, leaf_depths, leaf_details = \
         [], [], [], [], [], []
@@ -265,7 +295,7 @@ def build_quadtree_batch(details: Sequence[np.ndarray], split_value: float,
     visited = np.zeros(b, dtype=np.int64)
     while len(bs):
         visited += np.bincount(bs, minlength=b)
-        sums = _region_sums_batch(ii, bs, ys, xs, size)
+        sums = _region_sums_batch(ii, bs, ys, xs, size, step)
         can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
         split = (sums > split_value) if can_split else np.zeros(len(bs), dtype=bool)
         keep = ~split

@@ -24,6 +24,27 @@ __all__ = ["TokenSegmentationTask", "VolumeSegmentationTask",
            "prepare_image"]
 
 
+def _channel_mean(img: np.ndarray) -> np.ndarray:
+    """``img.mean(axis=2, keepdims=True)`` for a float64 (Z, Z, C) image.
+
+    For C < 8 NumPy's sum is sequential in channel order, starting from
+    +0.0 (so all-−0.0 channels give +0.0), in every memory layout;
+    replaying it as per-channel whole-plane adds gives the same values
+    without the slow strided reduction over a short inner axis. From
+    C = 8 a contiguous channel axis is summed pairwise, so ``mean`` stays.
+    Only a NaN's payload bits can differ: NumPy's loops pick which NaN
+    operand to propagate by loop kind.
+    """
+    c = img.shape[2]
+    if not 0 < c < 8:
+        return img.mean(axis=2, keepdims=True)
+    acc = img[:, :, 0] + 0.0
+    for i in range(1, c):
+        acc += img[:, :, i]
+    acc /= c
+    return acc[:, :, None]
+
+
 def prepare_image(image: np.ndarray, channels: int) -> np.ndarray:
     """Convert a sample image to (C, Z, Z) with the model's channel count."""
     img = np.asarray(image, dtype=np.float64)
@@ -31,7 +52,7 @@ def prepare_image(image: np.ndarray, channels: int) -> np.ndarray:
         img = img[:, :, None]
     if img.shape[2] != channels:
         if channels == 1:
-            img = img.mean(axis=2, keepdims=True)
+            img = _channel_mean(img)
         elif img.shape[2] == 1:
             img = np.repeat(img, channels, axis=2)
         else:

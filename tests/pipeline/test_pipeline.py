@@ -190,6 +190,21 @@ class TestKeying:
         assert second[0] is first[0]
         assert pipe.stats["hits"] == 1
 
+    @pytest.mark.parametrize("cache_items", [0, 8])
+    @pytest.mark.parametrize("keys", [[9, 10], [9, 10, 11, 12], []])
+    def test_key_count_must_match_image_count(self, cache_items, keys):
+        # Fewer keys used to return None for the trailing images (and a
+        # short collated batch); more keys raised a bare IndexError.
+        pipe = PatchPipeline(patch_size=4, split_value=2.0,
+                             target_length=16, cache_items=cache_items)
+        imgs = images(64, 3)
+        with pytest.raises(ValueError, match="keys for 3 images"):
+            pipe.process(imgs, keys=keys)
+        with pytest.raises(ValueError, match="keys for 3 images"):
+            pipe.collate(imgs, keys=keys)
+        assert pipe.stats.get("misses", 0) == 0
+        assert len(pipe.collate(imgs, keys=[9, 10, 11]).tokens) == 3
+
     def test_key_seed_stability_across_types(self):
         from repro.pipeline.engine import _key_seed
         assert _key_seed(42) == 42

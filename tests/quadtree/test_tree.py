@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quadtree import (balance_2to1, build_quadtree, max_depth_for,
-                            morton_encode)
+from repro.quadtree import (balance_2to1, build_quadtree, build_quadtree_batch,
+                            max_depth_for, morton_encode)
 
 
 def center_blob(z=64, r=6):
@@ -195,3 +195,65 @@ class TestProperties:
         leaves = build_quadtree(d, 1.0, 4)
         order = leaves.morton_order()
         assert sorted(order) == list(range(len(leaves)))
+
+
+def _dense_integral(detail, step):
+    """The dense summed-area table the builders used before the grid
+    table (kept here as the reference; ``step`` is ignored)."""
+    ii = np.cumsum(np.cumsum(detail.astype(np.float64), axis=0), axis=1)
+    return np.pad(ii, ((1, 0), (1, 0)))
+
+
+def _dense_region_sums(ii, ys, xs, size, step):
+    y1, x1 = ys + size, xs + size
+    return ii[y1, x1] - ii[ys, x1] - ii[y1, xs] + ii[ys, xs]
+
+
+class TestPatchGridIntegral:
+    """Region sums from the patch-grid table must equal the dense table's
+    bit for bit on float maps, where summation order is visible."""
+
+    @staticmethod
+    def _maps(z, seed):
+        from repro.data import generate_wsi
+        from repro.imaging import gaussian_blur, to_grayscale
+        from repro.patching.adaptive import _variance_detail
+        rng = np.random.default_rng(seed)
+        g = to_grayscale(np.asarray(generate_wsi(max(z, 32), seed=seed).image,
+                                    dtype=np.float64))[:z, :z]
+        wide = rng.random((z, z)) ** 3 * 10.0 ** rng.integers(-6, 7, (z, z))
+        wide[rng.random((z, z)) < 0.2] = 0.0
+        return [_variance_detail(gaussian_blur(g, 3), window=2) * 16.0,
+                wide, wide.astype(np.float32), rng.random((z, z)) > 0.7]
+
+    @pytest.mark.parametrize("z,min_size", [(32, 1), (32, 2), (64, 4),
+                                            (64, 8), (8, 8), (8, 16),
+                                            (4, 32)])
+    def test_matches_dense_table(self, monkeypatch, z, min_size):
+        import repro.quadtree.tree as tree
+        maps = self._maps(z, seed=z + min_size)
+        step = min(min_size, z)
+        depth = max_depth_for(z, 1)
+        for d in maps:
+            dense = _dense_integral(d, step)
+            np.testing.assert_array_equal(
+                tree._integral(d, step).view(np.uint64),
+                dense[::step, ::step].view(np.uint64))
+        # One split value per map, so every map splits to mixed depths.
+        splits = [float(np.asarray(d, np.float64).sum()) / z for d in maps]
+        got = [build_quadtree(d, v, depth, min_size)
+               for d, v in zip(maps, splits)]
+        batches = [build_quadtree_batch([d, d[::-1]], v, depth, min_size)
+                   for d, v in zip(maps, splits)]
+        monkeypatch.setattr(tree, "_integral", _dense_integral)
+        monkeypatch.setattr(tree, "_region_sums", _dense_region_sums)
+        for d, v, g, b in zip(maps, splits, got, batches):
+            refs = [build_quadtree(d, v, depth, min_size),
+                    build_quadtree(d[::-1], v, depth, min_size)]
+            for t, ref in [(g, refs[0])] + list(zip(b, refs)):
+                for name in ("ys", "xs", "sizes", "depths"):
+                    np.testing.assert_array_equal(getattr(t, name),
+                                                  getattr(ref, name))
+                assert t.nodes_visited == ref.nodes_visited
+                np.testing.assert_array_equal(t.details.view(np.uint64),
+                                              ref.details.view(np.uint64))

@@ -77,6 +77,55 @@ class TestPrepareImage:
         with pytest.raises(ValueError):
             prepare_image(np.zeros((8, 8, 3)), 2)
 
+    @staticmethod
+    def _layouts(base):
+        """``base`` (Z, Z, C) in contiguous and strided memory layouts."""
+        z, _, c = base.shape
+        slide = np.zeros((2 * z, 2 * z, c))
+        slide[z:, :z] = base
+        spaced = np.zeros((z, 2 * z, 2 * c))
+        spaced[:, ::2, ::2] = base
+        return {
+            "contiguous": base,
+            "tile_of_slide": slide[z:, :z],
+            "channel_first": np.ascontiguousarray(
+                base.transpose(2, 0, 1)).transpose(1, 2, 0),
+            "fortran": np.asfortranarray(base),
+            "reversed": np.ascontiguousarray(
+                base[::-1, :, ::-1])[::-1, :, ::-1],
+            "spaced": spaced[:, ::2, ::2],
+        }
+
+    @pytest.mark.parametrize("c", range(2, 11))
+    def test_gray_matches_mean_bytes(self, c):
+        # The channel adapt replays NumPy's mean as per-channel adds; it
+        # must give the same bytes in every layout, specials included
+        # (a NaN's payload bits are not pinned: NumPy's own loops differ).
+        rng = np.random.default_rng(c)
+        pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308,
+                         5e-324, 1e16, 1.0, -3.0, 0.1])
+        z = 24
+        base = rng.standard_normal((z, z, c)) * 10.0 ** rng.integers(
+            -8, 17, (z, z, c))
+        special = rng.random((z, z, c)) < 0.3
+        base[special] = rng.choice(pool, int(special.sum()))
+        base[0, 0] = -0.0                  # all −0.0 channels give +0.0
+        base[0, 1] = [1e16] + [1.0] * (c - 1)   # order-sensitive sum
+
+        def bits(a):
+            a = np.array(a, dtype=np.float64)
+            a[np.isnan(a)] = np.nan
+            return a.view(np.uint64)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            for name, img in self._layouts(base).items():
+                np.testing.assert_array_equal(img, base)
+                out = prepare_image(img, 1)
+                assert out.shape == (1, z, z) and out.dtype == np.float64
+                want = img.mean(axis=2, keepdims=True).transpose(2, 0, 1)
+                np.testing.assert_array_equal(bits(out), bits(want),
+                                              err_msg=name)
+
 
 class TestTrainerCore:
     def _quick_task(self):
