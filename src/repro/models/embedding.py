@@ -17,7 +17,7 @@ import numpy as np
 from .. import nn
 from ..patching import PatchSequence
 
-__all__ = ["PatchEmbedding", "collate_sequences"]
+__all__ = ["PatchEmbedding", "collate_sequences", "pack_sequences"]
 
 
 def collate_sequences(seqs: Sequence[PatchSequence]):
@@ -45,6 +45,33 @@ def collate_sequences(seqs: Sequence[PatchSequence]):
     coords = np.stack([s.coords() for s in seqs])
     valid = np.stack([s.valid for s in seqs])
     return tokens, coords, valid
+
+
+def pack_sequences(seqs: Sequence, buckets: Sequence[int], width: int):
+    """Serving counterpart of :func:`collate_sequences`: no padding.
+
+    The sequences run back to back through ``k = ceil(Σ len / width)``
+    rows (one may straddle two); filler tokens (``valid`` False) end the
+    last row. Rows as wide as the bucket keep every matmul at the shape a
+    sequence runs at alone. Returns ``tokens, coords, valid`` as
+    ``collate_sequences`` does, shaped (k, width, ...), and ``segments``:
+    one ``(start, length, bucket)`` int row per sequence, ``start`` in
+    flattened tokens, ``bucket`` the padded length its attention runs at.
+    """
+    lengths = [len(s) for s in seqs]
+    total = sum(lengths)
+    rows = max(-(-total // width), 1)
+
+    def cat(parts):
+        fill = np.zeros((rows * width - total,) + parts[0].shape[1:],
+                        parts[0].dtype)
+        return np.concatenate(parts + [fill]).reshape(
+            (rows, width) + parts[0].shape[1:])
+
+    starts = np.cumsum([0] + lengths[:-1])
+    return (cat([s.tokens() for s in seqs]), cat([s.coords() for s in seqs]),
+            cat([s.valid for s in seqs]),
+            np.stack([starts, lengths, buckets], axis=1).astype(np.int64))
 
 
 class PatchEmbedding(nn.Module):
@@ -79,7 +106,8 @@ class PatchEmbedding(nn.Module):
         self.max_len = max_len
         self.dtype = dtype
 
-    def forward(self, tokens, coords=None, valid=None) -> nn.Tensor:
+    def forward(self, tokens, coords=None, valid=None,
+                pos_ids=None) -> nn.Tensor:
         """Embed (B, L, T) tokens into a (B, L, D) tensor.
 
         Padding positions (``valid == False``) are zeroed after embedding so
@@ -89,15 +117,18 @@ class PatchEmbedding(nn.Module):
         model dtype here, ``valid`` as a (B, L) bool mask) or pre-prepared
         :class:`~repro.nn.Tensor` graph inputs (the shape-stable form the
         compiled runtime traces: ``valid`` already a (B, L, 1) float mask).
+        ``pos_ids`` (a (B, L) Tensor) indexes the positional table per token
+        of a packed input; without it, token i takes position i.
         """
         b, length, _ = tokens.shape
-        if length > self.max_len:
+        if pos_ids is None and length > self.max_len:
             raise ValueError(f"sequence length {length} exceeds positional "
                              f"table size {self.max_len}")
         if not isinstance(tokens, nn.Tensor):
             tokens = nn.Tensor(tokens.astype(self.dtype))
         x = self.proj(tokens)
-        x = x + self.pos[:length]
+        x = x + (self.pos[:length] if pos_ids is None
+                 else nn.inference_op("gather", (), self.pos, pos_ids))
         if self.use_coords and coords is not None:
             if not isinstance(coords, nn.Tensor):
                 coords = nn.Tensor(coords.astype(self.dtype))

@@ -3,7 +3,9 @@
 The backbone is the unmodified ViT of Dosovitskiy et al. — APF's contract is
 that the attention mechanism and architecture stay intact, so this module
 contains *zero* APF-specific branches: it consumes whatever
-:func:`repro.models.embedding.collate_sequences` produces.
+:func:`repro.models.embedding.collate_sequences` produces, or the packed
+rows of :func:`~repro.models.embedding.pack_sequences` (serving), where
+each image still attends only to itself.
 """
 
 from __future__ import annotations
@@ -51,9 +53,15 @@ class ViTBackbone(nn.Module):
         self.dim = dim
         self.depth = depth
 
-    def prepare_inputs(self, tokens: np.ndarray, coords=None, valid=None
-                       ) -> dict:
-        """Numpy feeds for :meth:`forward_core`, keyed by argument name."""
+    def prepare_inputs(self, tokens: np.ndarray, coords=None, valid=None,
+                       segments=None) -> dict:
+        """Numpy feeds for :meth:`forward_core`, keyed by argument name.
+
+        ``segments`` (from :func:`~repro.models.embedding.pack_sequences`)
+        marks packed rows and adds two float-coded feeds: ``pos_ids``,
+        restarting the positional table per sequence, and ``segments``,
+        zero-extended to B·L rows so feed shapes depend on (B, L) alone.
+        """
         dtype = self.embed.dtype
         feeds = {"tokens": np.asarray(tokens).astype(dtype)}
         if self.embed.use_coords and coords is not None:
@@ -62,22 +70,31 @@ class ViTBackbone(nn.Module):
             valid = np.asarray(valid)
             feeds["validf"] = valid.astype(dtype)[:, :, None]
             feeds["attn_bias"] = nn.attention_bias(valid, dtype)
+        if segments is not None:
+            pos = np.zeros(feeds["tokens"].shape[:2], dtype)
+            table = np.zeros((pos.size, 3), dtype)
+            for i, (start, n, bucket) in enumerate(segments):
+                pos.reshape(-1)[start:start + n] = np.arange(n)
+                table[i] = (start, n, bucket)
+            feeds["pos_ids"], feeds["segments"] = pos, table
         return feeds
 
     def forward_core(self, tokens: nn.Tensor, coords: Optional[nn.Tensor] = None,
                      validf: Optional[nn.Tensor] = None,
-                     attn_bias: Optional[nn.Tensor] = None) -> nn.Tensor:
+                     attn_bias: Optional[nn.Tensor] = None,
+                     pos_ids: Optional[nn.Tensor] = None,
+                     segments: Optional[nn.Tensor] = None) -> nn.Tensor:
         """Pure Tensor-op forward over prepared inputs (traceable)."""
-        x = self.embed(tokens, coords, validf)
-        return self.encoder(x, attn_bias=attn_bias)
+        x = self.embed(tokens, coords, validf, pos_ids)
+        return self.encoder(x, attn_bias=attn_bias, segments=segments)
 
     def forward(self, tokens: np.ndarray, coords=None, valid=None,
-                return_hidden: Sequence[int] = ()):
+                return_hidden: Sequence[int] = (), segments=None):
         if return_hidden:
             # Multi-output tap path (UNETR skips) — eager only.
             x = self.embed(tokens, coords, valid)
             return self.encoder(x, return_hidden=return_hidden, key_mask=valid)
-        feeds = self.prepare_inputs(tokens, coords, valid)
+        feeds = self.prepare_inputs(tokens, coords, valid, segments)
         return self.forward_core(
             **{name: nn.Tensor(arr) for name, arr in feeds.items()})
 
@@ -108,17 +125,19 @@ class ViTSegmenter(nn.Module):
         self.patch_size = patch_size
         self.out_channels = out_channels
 
-    def prepare_inputs(self, tokens: np.ndarray, coords=None, valid=None) -> dict:
-        return self.backbone.prepare_inputs(tokens, coords, valid)
+    def prepare_inputs(self, *args, **packed) -> dict:
+        return self.backbone.prepare_inputs(*args, **packed)
 
     def forward_core(self, tokens: nn.Tensor, coords=None, validf=None,
-                     attn_bias=None) -> nn.Tensor:
-        return self.head(self.backbone.forward_core(tokens, coords, validf,
-                                                    attn_bias))
+                     attn_bias=None, pos_ids=None, segments=None) -> nn.Tensor:
+        return self.head(self.backbone.forward_core(
+            tokens, coords, validf, attn_bias, pos_ids, segments))
 
-    def forward(self, tokens: np.ndarray, coords=None, valid=None) -> nn.Tensor:
+    def forward(self, tokens: np.ndarray, coords=None, valid=None,
+                segments=None) -> nn.Tensor:
         """Token logits of shape (B, L, out_channels * Pm * Pm)."""
-        return self.head(self.backbone(tokens, coords, valid))
+        return self.head(self.backbone(tokens, coords, valid,
+                                       segments=segments))
 
     def forward_sequences(self, seqs: Sequence[PatchSequence]) -> nn.Tensor:
         tokens, coords, valid = collate_sequences(seqs)
@@ -160,17 +179,19 @@ class VolumeViTSegmenter(nn.Module):
         self.patch_size = patch_size
         self.out_channels = out_channels
 
-    def prepare_inputs(self, tokens: np.ndarray, coords=None, valid=None) -> dict:
-        return self.backbone.prepare_inputs(tokens, coords, valid)
+    def prepare_inputs(self, *args, **packed) -> dict:
+        return self.backbone.prepare_inputs(*args, **packed)
 
     def forward_core(self, tokens: nn.Tensor, coords=None, validf=None,
-                     attn_bias=None) -> nn.Tensor:
-        return self.head(self.backbone.forward_core(tokens, coords, validf,
-                                                    attn_bias))
+                     attn_bias=None, pos_ids=None, segments=None) -> nn.Tensor:
+        return self.head(self.backbone.forward_core(
+            tokens, coords, validf, attn_bias, pos_ids, segments))
 
-    def forward(self, tokens: np.ndarray, coords=None, valid=None) -> nn.Tensor:
+    def forward(self, tokens: np.ndarray, coords=None, valid=None,
+                segments=None) -> nn.Tensor:
         """Token logits of shape (B, L, out_channels * Pm³)."""
-        return self.head(self.backbone(tokens, coords, valid))
+        return self.head(self.backbone(tokens, coords, valid,
+                                       segments=segments))
 
     def forward_sequences(self, seqs: Sequence) -> nn.Tensor:
         tokens, coords, valid = collate_sequences(seqs)

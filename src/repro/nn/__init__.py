@@ -17,13 +17,13 @@ from .modules import (MLP, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout,
                       GroupNorm, Identity, LayerNorm, Linear, Module,
                       ModuleList, MultiHeadAttention, Parameter, Sequential,
                       TransformerEncoder, TransformerEncoderLayer,
-                      attention_bias)
+                      attention_bias, inference_op)
 from .optim import SGD, Adam, AdamW, CosineLR, MultiStepLR, clip_grad_norm
 from .tensor import Tensor, concat, is_grad_enabled, no_grad, ones, stack, tensor, zeros
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones",
-    "concat", "stack", "functional", "kernels", "attention_bias",
+    "concat", "stack", "functional", "kernels", "attention_bias", "inference_op",
     "Parameter", "Module", "Sequential", "ModuleList", "Identity", "Linear",
     "Dropout", "LayerNorm", "Conv2d", "ConvTranspose2d", "BatchNorm2d",
     "GroupNorm", "MultiHeadAttention", "MLP", "TransformerEncoderLayer",

@@ -31,6 +31,7 @@ executes. Keeping the hook here (dependency-free) lets ``tensor.py`` and
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Dict, Optional
 
@@ -247,6 +248,11 @@ register("astype", lambda p, a: a.astype(p[0]))
 register("matmul", lambda p, a, b: a @ b,
          lambda p, out, sc, a, b: np.matmul(a, b, out=out))
 register("concat", lambda p, *xs: np.concatenate(xs, axis=p[0]))
+# Row lookup by an index feed (packed positional ids). Feeds are float
+# Tensors, so the integer-valued indices are cast back here.
+register("gather", lambda p, a, idx: a[idx.astype(np.intp)],
+         lambda p, out, sc, a, idx: np.take(a, idx.astype(np.intp), axis=0,
+                                            out=out))
 register("stack", lambda p, *xs: np.stack(xs, axis=p[0]))
 
 
@@ -318,3 +324,101 @@ def _layer_norm_out(p, out, sc, x, w, b):
 
 
 register("layer_norm", _layer_norm, _layer_norm_out)
+
+
+class _Scratch(threading.local):
+    def __init__(self) -> None:
+        self.pool: Dict[tuple, np.ndarray] = {}
+        self.groups: tuple = (None, None)
+
+
+_scratch = _Scratch()
+
+
+def _rows(tag: str, b: int, shape: tuple, dtype) -> np.ndarray:
+    """``(b, *shape)`` view of a per-thread buffer that every plan shares:
+    attention holds scratch for its largest group seen, not once per
+    compiled plan."""
+    key = (tag, shape, np.dtype(dtype))
+    buf = _scratch.pool.get(key)
+    if buf is None or len(buf) < b:
+        buf = _scratch.pool[key] = np.empty((b,) + shape, dtype)
+    return buf[:b]
+
+
+def varlen_groups(segments: np.ndarray) -> Dict[int, np.ndarray]:
+    """Bucket length -> its ``(start, length, bucket)`` rows, from a packed
+    ``segments`` feed (float-coded ints; zero-length rows are unused).
+    Every layer of a forward sees the same feed, so the last one is kept."""
+    key = segments.tobytes()
+    if _scratch.groups[0] != key:
+        seg = segments.astype(np.intp)
+        seg = seg[seg[:, 1] > 0]
+        _scratch.groups = (key, {int(L): seg[seg[:, 2] == L]
+                                 for L in np.unique(seg[:, 2])})
+    return _scratch.groups[1]
+
+
+def _sdpa_out(p, out, sc, q, k, v, bias):
+    """Multi-head attention of a padded (B, L, D) batch into ``out``: the
+    ufuncs of the autograd chain in ``MultiHeadAttention`` (matmul, scale,
+    additive bias, softmax, matmul), in place on shared scratch."""
+    heads = p[0]
+    b, L, dim = q.shape
+    dh = dim // heads
+    qh, kh, vh = (x.reshape(b, L, heads, dh).transpose(0, 2, 1, 3)
+                  for x in (q, k, v))
+    S = _rows("S", b, (heads, L, L), q.dtype)
+    C = _rows("C", b, (heads, L, dh), q.dtype)
+    np.matmul(qh, kh.transpose(0, 1, 3, 2), out=S)
+    np.multiply(S, q.dtype.type(1.0 / math.sqrt(dh)), out=S)
+    np.add(S, bias, out=S)
+    m = S.max(axis=-1, keepdims=True)
+    np.subtract(S, m, out=S)
+    np.exp(S, out=S)
+    z = S.sum(axis=-1, keepdims=True)
+    np.divide(S, z, out=S)
+    np.matmul(S, vh, out=C)
+    out.reshape(b, L, heads, dh)[...] = C.transpose(0, 2, 1, 3)
+    return out
+
+
+def _sdpa_varlen_out(p, out, sc, q, k, v, bias, segments):
+    """Attention within each packed segment, never across segments.
+
+    ``q``/``k``/``v``/``bias`` are as for ``sdpa``, with tokens addressed
+    flat by the ``segments`` rows. Segments of one bucket length gather
+    into a zero-padded (b, bucket, D) batch — the batch the unpacked model
+    runs — for ``sdpa``, and their real tokens scatter back (filler comes
+    out zero). Padding keys get exactly zero weight, so no segment sees
+    another's values. A pack whose segments each start a row *is* that
+    padded batch and runs in place.
+    """
+    rows, width, dim = q.shape
+    groups = varlen_groups(segments)
+    grp = groups.get(width, ())
+    if len(groups) == 1 and len(grp) == rows and \
+            (grp[:, 0] == np.arange(rows) * width).all():
+        return _sdpa_out(p, out, sc, q, k, v, bias)
+    q, k, v, flat = (x.reshape(-1, dim) for x in (q, k, v, out))
+    bias = bias.reshape(-1)
+    out.fill(0)
+    for L, grp in groups.items():
+        b = len(grp)
+        qs, ks, vs, ctx = (_rows(t, b, (L, dim), q.dtype) for t in "qkvo")
+        bs = _rows("bias", b, (1, 1, L), q.dtype)
+        for j, (s, n, _) in enumerate(grp):
+            for dst, src in ((qs, q), (ks, k), (vs, v)):
+                dst[j, :n] = src[s:s + n]
+                dst[j, n:] = 0
+            bs[j, 0, 0, :n] = bias[s:s + n]
+            bs[j, 0, 0, n:] = -1e9
+        _sdpa_out(p, ctx, sc, qs, ks, vs, bs)
+        for j, (s, n, _) in enumerate(grp):
+            flat[s:s + n] = ctx[j, :n]
+    return out
+
+
+for _name, _out in (("sdpa", _sdpa_out), ("sdpa_varlen", _sdpa_varlen_out)):
+    register(_name, lambda p, *xs, f=_out: f(p, np.empty_like(xs[0]), None,
+                                             *xs), _out)

@@ -13,10 +13,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor
+from . import kernels as K
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "attention_bias",
+    "inference_op",
     "Parameter",
     "Module",
     "Sequential",
@@ -311,6 +313,17 @@ def attention_bias(key_mask: np.ndarray, dtype) -> np.ndarray:
     return np.where(key_mask[:, None, None, :], 0.0, -1e9).astype(dtype)
 
 
+def inference_op(name: str, params: tuple, *inputs: Tensor) -> Tensor:
+    """Run kernel ``name`` as a traced op with no tape: fused attention and
+    the packed serving path (positional gather, varlen attention) are
+    inference-only."""
+    if is_grad_enabled() and any(t.requires_grad for t in inputs):
+        raise RuntimeError(f"{name} is inference-only; run it under no_grad")
+    out = Tensor(K.forward(name, params, *[t.data for t in inputs]))
+    K.record(name, params, inputs, out)
+    return out
+
+
 class MultiHeadAttention(Module):
     """Standard dense multi-head self-attention (paper Eq. 2-5), unchanged.
 
@@ -343,19 +356,34 @@ class MultiHeadAttention(Module):
         return Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=dtype))
 
     def forward(self, x: Tensor, key_mask: Optional[np.ndarray] = None,
-                attn_bias: Optional[Tensor] = None) -> Tensor:
+                attn_bias: Optional[Tensor] = None,
+                segments: Optional[Tensor] = None) -> Tensor:
         """``key_mask``: optional (N, L) boolean array; False marks padding
         keys that must receive zero attention (APF's pad-to-length step).
         ``attn_bias``: precomputed additive-bias tensor (see
         :func:`attention_bias`) — the shape-stable form the compiled runtime
-        feeds; overrides ``key_mask``."""
+        feeds; overrides ``key_mask``. ``segments``: the layout of a packed
+        input (see :meth:`repro.models.vit.ViTBackbone.prepare_inputs`);
+        each packed sequence then attends only within itself.
+
+        Packed, or traced for a compiled plan, attention runs as one
+        kernel (``sdpa_varlen`` or ``sdpa``) that replays the ufuncs of the
+        differentiable chain below, so both give the same bits."""
         n, length, _ = x.shape
+        if attn_bias is None and key_mask is not None:
+            attn_bias = Tensor(attention_bias(key_mask, x.dtype))
+        if segments is not None or (K.tracing() and self.attn_drop.p == 0):
+            if attn_bias is None:
+                attn_bias = Tensor(np.zeros((n, 1, 1, length), x.dtype))
+            op, extra = ("sdpa", ()) if segments is None else \
+                ("sdpa_varlen", (segments,))
+            return self.wo(inference_op(op, (self.heads,), self.wq(x),
+                                        self.wk(x), self.wv(x), attn_bias,
+                                        *extra))
         q = self._split(self.wq(x), n, length)
         k = self._split(self.wk(x), n, length)
         v = self._split(self.wv(x), n, length)
         scores = (q @ k.transpose(0, 1, 3, 2)) * self._scale(x.dtype)  # (N,H,L,L)
-        if attn_bias is None and key_mask is not None:
-            attn_bias = Tensor(attention_bias(key_mask, scores.dtype))
         if attn_bias is not None:
             scores = scores + attn_bias
         attn = F.softmax(scores, axis=-1)
@@ -404,9 +432,10 @@ class TransformerEncoderLayer(Module):
         self.mlp = MLP(dim, int(dim * mlp_ratio), rng=rng, dtype=dtype, drop=drop)
 
     def forward(self, x: Tensor, key_mask: Optional[np.ndarray] = None,
-                attn_bias: Optional[Tensor] = None) -> Tensor:
+                attn_bias: Optional[Tensor] = None,
+                segments: Optional[Tensor] = None) -> Tensor:
         x = x + self.attn(self.norm1(x), key_mask=key_mask,
-                          attn_bias=attn_bias)
+                          attn_bias=attn_bias, segments=segments)
         x = x + self.mlp(self.norm2(x))
         return x
 
@@ -429,10 +458,12 @@ class TransformerEncoder(Module):
 
     def forward(self, x: Tensor, return_hidden: Sequence[int] = (),
                 key_mask: Optional[np.ndarray] = None,
-                attn_bias: Optional[Tensor] = None) -> Tensor:
+                attn_bias: Optional[Tensor] = None,
+                segments: Optional[Tensor] = None) -> Tensor:
         hidden: List[Tensor] = []
         for i, layer in enumerate(self.layers, start=1):
-            x = layer(x, key_mask=key_mask, attn_bias=attn_bias)
+            x = layer(x, key_mask=key_mask, attn_bias=attn_bias,
+                      segments=segments)
             if i in return_hidden:
                 hidden.append(x)
         x = self.norm(x)

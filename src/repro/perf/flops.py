@@ -101,18 +101,15 @@ def kernel_cost(op: str, in_shapes: Sequence[Tuple[int, ...]],
             flops += out_n              # bias add
         if op == "linear_gelu":
             flops += 8.0 * out_n        # tanh-GELU polynomial + tanh
-    elif op == "sdpa":
-        # in_shapes = (q, kT, v [, bias]): scores S = q @ kT is the big
-        # intermediate; softmax over S, then S @ v.
-        q, kT = in_shapes[0], in_shapes[1]
-        d_k = float(q[-1])
-        s_n = float(prod(q[:-1])) * float(kT[-1])
-        flops = 2.0 * s_n * d_k         # q @ kT
-        flops += s_n                    # scale
-        if len(in_shapes) > 3:
-            flops += s_n                # bias add
-        flops += 5.0 * s_n              # max/sub/exp/sum/div softmax
-        flops += 2.0 * out_n * float(kT[-1])   # S @ v
+    elif op in ("sdpa", "sdpa_varlen"):
+        # in_shapes = one (b, H, L, dh) shape per bucket group of the call
+        # (a padded batch is one group; a packed one groups its segments):
+        # QK^T and S @ V are 2·dh each per score, plus scale, bias and a
+        # 5-op softmax, so Σ b·H·L²·(4·dh + 7) — never the packed R².
+        # Bytes: q, k, v read and the context written.
+        return (sum(b * h * L * L * (4.0 * dh + 7.0)
+                    for b, h, L, dh in in_shapes),
+                4.0 * itemsize * out_n)
     elif op == "softmax":
         flops = 5.0 * out_n
     elif op == "layer_norm":

@@ -10,9 +10,11 @@ preallocated NumPy arrays:
    once at compile time. View kernels fold to *views*, so in-place weight
    updates stay visible to the plan.
 3. **Fusion** — the transformer hot spots collapse into single steps:
-   ``linear`` / ``linear_gelu`` (matmul + bias add + GELU in one buffer)
-   and ``sdpa`` (QK^T → scale → bias → softmax, all in-place on one scores
-   buffer, then the value matmul). LayerNorm runs as a single out= kernel.
+   ``linear`` / ``linear_gelu`` (matmul + bias add + GELU in one buffer).
+   Attention is already one kernel at trace time (``sdpa``, or per
+   segment ``sdpa_varlen`` for packed inputs: QK^T → scale → bias →
+   softmax in place on one scores buffer, then the value matmul), and
+   LayerNorm runs as a single out= kernel.
 4. **Liveness-based buffer reuse** — every op output draws from a
    (shape, dtype)-keyed pool; an operand's buffer returns to the pool at
    its last use, and elementwise ops whose dying input matches the output
@@ -132,59 +134,6 @@ class ExecutionPlan:
         return f"ExecutionPlan({len(self._steps)} steps, {self.stats})"
 
 
-def _check_sdpa(nodes, const, cons, single, i):
-    """Match QK^T → scale-mul → [bias-add] → softmax(-1) → @V at matmul
-    ``i``. Returns (members, bias_idx, scale_idx, softmax_axis, v_idx)."""
-    mm1 = nodes[i]
-    if not single(i):
-        return None
-    j = cons[i][0]
-    mul = nodes[j]
-    if mul.op != "mul" or not single(j):
-        return None
-    others = [x for x in mul.inputs if x != i]
-    if len(others) != 1 or others[0] not in const:
-        return None
-    scale_idx = others[0]
-    if const[scale_idx].ndim != 0:
-        return None
-    nxt_idx = cons[j][0]
-    nxt = nodes[nxt_idx]
-    bias_idx = None
-    members = [i, j]
-    if nxt.op == "add":
-        if not single(nxt_idx):
-            return None
-        others = [x for x in nxt.inputs if x != j]
-        if len(others) != 1:
-            return None
-        bias_idx = others[0]
-        members.append(nxt_idx)
-        nxt_idx = cons[nxt_idx][0]
-        nxt = nodes[nxt_idx]
-    if nxt.op != "softmax" or not single(nxt_idx):
-        return None
-    axis = nxt.params[0]
-    if axis not in (-1, len(nxt.shape) - 1):
-        return None
-    members.append(nxt_idx)
-    mm2_idx = cons[nxt_idx][0]
-    mm2 = nodes[mm2_idx]
-    if mm2.op != "matmul" or mm2.inputs[0] != nxt_idx:
-        return None
-    members.append(mm2_idx)
-    # Shape/dtype stability across the in-place chain.
-    if any(nodes[m].shape != mm1.shape or nodes[m].dtype != mm1.dtype
-           for m in members[:-1]):
-        return None
-    # External operands must be bindable before the anchor step.
-    for ext in (mm1.inputs[0], mm1.inputs[1], bias_idx, mm2.inputs[1]):
-        if ext is not None and ext >= i and ext not in const \
-                and nodes[ext].op != "input":
-            return None
-    return members, bias_idx, scale_idx, axis, mm2.inputs[1]
-
-
 def _check_linear(nodes, const, cons, single, i):
     """Match matmul → const-bias add [→ gelu] at matmul ``i``.
     Returns (members, bias_idx, bias_first, fuse_gelu)."""
@@ -255,12 +204,6 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
                 or n.op in ("input", "const"):
             continue
         if n.op == "matmul":
-            m = _check_sdpa(nodes, const, cons, single, i)
-            if m is not None:
-                members, bias_idx, scale_idx, axis, v_idx = m
-                groups[i] = ("sdpa", members, bias_idx, scale_idx, axis, v_idx)
-                interior.update(members[1:])
-                continue
             m = _check_linear(nodes, const, cons, single, i)
             if m is not None:
                 members, bias_idx, bias_first, fuse_gelu = m
@@ -286,8 +229,6 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
             for i in nodes[m].inputs:
                 if i not in memberset:
                     roots.add(find_root(i))
-        if kind == "sdpa":
-            roots.add(find_root(groups[a][5]))   # v
         ext_roots[a] = roots
         for r in roots:
             uses[r] += 1
@@ -342,51 +283,6 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
         kind = spec[0]
         n = nodes[a]
         keep: set = set()
-
-        if kind == "sdpa":
-            _, members, bias_idx, scale_idx, axis, v_idx = spec
-            mm1, mm2 = nodes[members[0]], nodes[members[-1]]
-            q, kT = arr(mm1.inputs[0]), arr(mm1.inputs[1])
-            v = arr(v_idx)
-            scale = const[scale_idx]
-            bias = arr(bias_idx) if bias_idx is not None else None
-            S = pool.get(mm1.shape, mm1.dtype)
-            C = pool.get(mm2.shape, mm2.dtype)
-
-            if bias is None:
-                def run(q=q, kT=kT, v=v, scale=scale, S=S, C=C, axis=axis):
-                    np.matmul(q, kT, out=S)
-                    np.multiply(S, scale, out=S)
-                    m = S.max(axis=axis, keepdims=True)
-                    np.subtract(S, m, out=S)
-                    np.exp(S, out=S)
-                    z = S.sum(axis=axis, keepdims=True)
-                    np.divide(S, z, out=S)
-                    np.matmul(S, v, out=C)
-            else:
-                def run(q=q, kT=kT, v=v, scale=scale, bias=bias, S=S, C=C,
-                        axis=axis):
-                    np.matmul(q, kT, out=S)
-                    np.multiply(S, scale, out=S)
-                    np.add(S, bias, out=S)
-                    m = S.max(axis=axis, keepdims=True)
-                    np.subtract(S, m, out=S)
-                    np.exp(S, out=S)
-                    z = S.sum(axis=axis, keepdims=True)
-                    np.divide(S, z, out=S)
-                    np.matmul(S, v, out=C)
-
-            sdpa_ins = [q, kT, v] + ([bias] if bias is not None else [])
-            plan.add_step("sdpa", run,
-                          cost_meta("sdpa", sdpa_ins, mm2.shape, mm2.dtype))
-            out_idx = members[-1]
-            bound[out_idx] = C
-            ownerbuf[out_idx] = C
-            keep.add(id(C))
-            release_roots(a, keep)
-            pool.release(S)             # scores die inside the group
-            fused_sdpa += 1
-            continue
 
         if kind == "linear":
             _, members, bias_idx, bias_first, fuse_gelu = spec
@@ -463,14 +359,41 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
                         break
             if out is None:
                 out = pool.get(n.shape, n.dtype)
-            if kernel.fn_out is not None:
+            name, meta = n.op, None
+            if n.op in ("sdpa", "sdpa_varlen"):
+                # Attention is one fused step named "sdpa". Its cost sums
+                # b·H·L² over the bucket groups of the call's segments, so
+                # a packed step re-stamps it per run when profiled.
+                name, meta = "sdpa", {"flops": 0.0, "bytes": 0.0}
+                fused_sdpa += 1
+                packed = n.op == "sdpa_varlen"
+
+                def stamp(meta=meta, ins=ins, h=n.params[0], out=out,
+                          packed=packed):
+                    b, L, dim = out.shape
+                    groups = ([(len(g), h, g_len, dim // h) for g_len, g in
+                               K.varlen_groups(ins[-1]).items()]
+                              if packed else [(b, h, L, dim // h)])
+                    meta["flops"], meta["bytes"] = kernel_cost(
+                        "sdpa", groups, out.shape, out.itemsize)
+
+                if not packed:
+                    stamp()
+
+                def run(out=out, kernel=kernel, params=n.params, ins=ins,
+                        stamp=stamp, packed=packed):
+                    kernel.fn_out(params, out, sc, *ins)
+                    if packed and plan.profile_hook is not None:
+                        stamp()
+            elif kernel.fn_out is not None:
                 def run(out=out, kernel=kernel, params=n.params, ins=ins):
                     kernel.fn_out(params, out, sc, *ins)
             else:
                 def run(out=out, kernel=kernel, params=n.params, ins=ins):
                     np.copyto(out, kernel.fn(params, *ins))
-            plan.add_step(n.op, run,
-                          cost_meta(n.op, ins, n.shape, n.dtype))
+            if meta is None:
+                meta = cost_meta(n.op, ins, n.shape, n.dtype)
+            plan.add_step(name, run, meta)
 
         bound[n.idx] = out
         ownerbuf[n.idx] = out
@@ -502,23 +425,25 @@ class CompiledModel:
         self.graph = graph
         self.plan = plan
 
-    def __call__(self, tokens: np.ndarray, coords=None,
-                 valid=None) -> np.ndarray:
-        feeds = self.model.prepare_inputs(tokens, coords, valid)
+    def __call__(self, tokens: np.ndarray, coords=None, valid=None,
+                 **packed) -> np.ndarray:
+        feeds = self.model.prepare_inputs(tokens, coords, valid, **packed)
         return self.plan.run(feeds)
 
 
-def compile_model(model, tokens: np.ndarray, coords=None,
-                  valid=None) -> CompiledModel:
+def compile_model(model, tokens: np.ndarray, coords=None, valid=None,
+                  **packed) -> CompiledModel:
     """Trace ``model.forward_core`` on example inputs and compile it.
 
     The model must expose the shape-stable split (``prepare_inputs`` /
     ``forward_core``) — ViTSegmenter, VolumeViTSegmenter, ViTClassifier and
     ViTBackbone do — and should be in ``eval()`` mode (tracing stochastic
     dropout raises). One plan serves every batch with the same input
-    signature (shapes + dtypes + presence of coords/valid).
+    signature (shapes + dtypes + presence of coords/valid). ``packed``
+    (``segments=``) compiles the packed form, whose signature depends on
+    the (rows, width) shape alone: any segment layout runs through it.
     """
-    feeds = model.prepare_inputs(tokens, coords, valid)
+    feeds = model.prepare_inputs(tokens, coords, valid, **packed)
     graph = trace(model.forward_core, feeds)
     plan = compile_graph(graph)
     return CompiledModel(model, graph, plan)

@@ -18,12 +18,19 @@ formation (chunks of exactly ``predictor.max_batch``) is the same single
 implementation ``Predictor.predict_batch`` drains. Submitting a request
 set and draining the queue therefore yields **bit-identical** arrays to
 calling ``predict_batch`` on the same set (the property suite pins this
-across seeds and shapes), and both front-ends produce the same
-``(batch, length)`` signatures — one shared plan cache, never a split
-one. Under streaming arrivals the chunk *composition* depends on timing;
-each chunk still runs the exact scheduler path, but BLAS blocking varies
-with batch shape, so cross-composition agreement is tight (~1e-7) rather
-than bitwise — the same caveat as any batched server.
+across seeds and shapes), and both front-ends run the same packs — one
+shared plan cache, never a split one. Under streaming arrivals the chunk
+*composition* depends on timing. A sequence's bits then depend only on
+whether its BLAS rounds a row differently at another offset in the same
+(M = bucket length) matmul; OpenBLAS does not, so on it results are
+bitwise equal across compositions, and the tested bound is 1e-6 in
+probability with equal class maps. Packing keeps M at the bucket length
+on purpose: one matmul over the whole pack would cross OpenBLAS's
+small-matrix path, which rounds a narrow output (the 256→16 head of the
+``tile_api`` model) differently at M = 64 than at M ≥ 96: up to 9.5e-7
+in a logit over 512 tiles in packs of 8, against exactly 0 as packed.
+``stats()["predictor"]["padded_tokens"]`` counts the tokens the model
+executed, filler included.
 
 Beyond batching, the engine layers on what a front-end needs:
 
@@ -226,6 +233,10 @@ class InferenceEngine:
         if lane not in self.config.lanes:    # validate even on cache hits
             raise ValueError(f"unknown lane {lane!r}; "
                              f"configured: {sorted(self.config.lanes)}")
+        if self._thread is not None and not self._thread.is_alive():
+            # started, but the batcher died: nothing would resolve a future
+            raise RuntimeError("engine batcher thread is dead; stop() and "
+                               "start() the engine again")
         now = self.clock()
         futures: List[Future] = []
         fresh: List[Request] = []

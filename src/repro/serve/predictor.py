@@ -13,16 +13,20 @@ return results in request order.
 
 Bucketing semantics
 -------------------
-A sequence of natural length ``n`` is zero-padded (``valid=False`` slots)
-to the smallest multiple of ``bucket`` ≥ ``n``, capped at the model's
-positional-table size; longer sequences are randomly dropped to the cap
-with a deterministic per-(seed, length, bucket) RNG. One compiled plan then
-serves *every* request landing in the same (batch, length) signature; the
-plan cache is bounded by ``max_batch x |length buckets|``, and under steady
-traffic almost all requests ride a handful of full-batch plans.
+A sequence of natural length ``n`` belongs to the bucket ``L``: the
+smallest multiple of ``bucket`` ≥ ``n``, capped at the model's
+positional-table size. Longer sequences are randomly dropped to the cap
+with a deterministic per-(seed, length, bucket) RNG. Micro-batches hold
+one bucket, and nothing is zero-padded: a batch's sequences pack back to
+back into ``k = ceil(Σ n / L)`` rows of L tokens (a lone sequence: one
+row, the padded shape it has always run at), each attending only within
+itself at its padded length L. One compiled plan serves every pack with
+the same ``(k, L)`` shape, so the plan cache is bounded by
+``max_batch x |length buckets|``, and :meth:`Predictor.warmup` over
+batch sizes 1..``max_batch`` covers every pack a bucket can form.
 
 Numerics: with ``compiled=True`` (default) every forward is bit-identical
-to the eager ``no_grad`` forward on the same collated batch — the
+to the eager ``no_grad`` forward on the same packed batch — the
 ``compiled=False`` switch exists precisely so tests and benches can assert
 that equality end-to-end.
 """
@@ -127,7 +131,7 @@ class Predictor:
 
     def warmup(self, lengths: Optional[Sequence[int]] = None,
                batch_sizes: Optional[Sequence[int]] = None) -> dict:
-        """Pre-compile plans for a ladder of (batch, length) signatures.
+        """Pre-compile plans for a ladder of (rows, length) pack shapes.
 
         Tracing+compiling a plan takes orders of magnitude longer than
         executing it, so without warmup the *first* request landing on
@@ -137,11 +141,13 @@ class Predictor:
         latency applies from request one.
 
         ``lengths`` are padded to the bucket grid and capped at the
-        positional table, then compiled for each of ``batch_sizes``
+        positional table, then compiled for each of ``batch_sizes`` rows
         (default: 1 and ``max_batch`` — the partial-flush and full-flush
-        extremes). Signatures already in the plan cache are skipped; the
-        dummy inputs are zeros, which exercise the identical kernel graph
-        as real traffic. Returns compile accounting.
+        extremes); a batch of b sequences packs into at most b rows.
+        Shapes already in the plan cache are skipped; the dummy inputs
+        are zeros, one full sequence per row, which exercise the
+        identical kernel graph as real traffic (packed layouts are run-time
+        feeds). Returns compile accounting.
         """
         if not self.compiled:
             return {"plans": 0, "compiled": 0, "compile_seconds": 0.0}
@@ -163,7 +169,8 @@ class Predictor:
                     continue
                 coords = np.zeros((b, length, coord_dim))
                 valid = np.ones((b, length), dtype=bool)
-                self.scheduler._forward(tokens, coords, valid)
+                segments = [(i * length, length, length) for i in range(b)]
+                self.scheduler._forward(tokens, coords, valid, segments)
                 compiled += 1
         return {"plans": len(self._plans), "compiled": compiled,
                 "compile_seconds": self.stats["compile_seconds"]}

@@ -4,10 +4,10 @@ Every inference request, whichever front door it arrived through, reduces
 to the same four-stage work graph:
 
     tiles ────────► sequences ───────► micro-batches ────► stitch
-    (macro-tile     (natural APF       (single-signature   (vectorized
-     regions, CT     sequences from     (B, L) plan         scatter back
-     slabs, plain    the pipeline's     executions over      to maps +
-     images)         LRU cache)         the plan cache)      tile reduce)
+    (macro-tile     (natural APF       (one bucket, packed (vectorized
+     regions, CT     sequences from     into (k, L) rows;   scatter back
+     slabs, plain    the pipeline's     one plan execution  to maps +
+     images)         LRU cache)         per batch)          tile reduce)
 
 Before this module existed, three separately maintained front-ends —
 ``Predictor.predict_batch``, ``InferenceEngine.step`` and the streaming
@@ -38,6 +38,19 @@ byte for byte the grouping the pre-refactor ``predict_sequences``
 produced, which the equivalence matrix in
 ``tests/serve/test_frontend_equivalence.py`` pins across all four
 front-ends.
+
+:meth:`run` then packs a micro-batch instead of padding it: its natural
+sequences (over-long ones dropped to the bucket length L) run back to
+back through ``k = ceil(Σ nᵢ / L)`` rows of L tokens
+(:func:`~repro.models.embedding.pack_sequences`). Linears, layer norms
+and residual adds run on those rows, every matmul still at M = L, and
+attention runs per sequence on its own zero-padded L×L block
+(``sdpa_varlen``). A lone sequence thus runs its old padded batch bit for
+bit, and with OpenBLAS a pack member gets the bits it gets alone. The
+tested contract allows a BLAS to round a row by its offset in a block:
+compiled packed output equals eager packed output bitwise, and a pack
+member is within 1e-6 in probability of its single run, with equal class
+maps. ``stats["padded_tokens"]`` counts executed tokens (k·L per batch).
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..models.embedding import collate_sequences
+from ..models.embedding import pack_sequences
 from ..nn import kernels as K
 from ..runtime import compile_model
 from .. import nn
@@ -94,10 +107,11 @@ class SequenceNode:
 
 @dataclass
 class MicroBatch:
-    """A single-signature unit of model execution.
+    """A single-bucket unit of model execution.
 
-    Every node shares ``length`` (the padded bucket), so the batch maps to
-    exactly one compiled-plan signature ``(len(nodes), length)``.
+    Every node shares ``length`` (the padded bucket);
+    :meth:`WorkGraphScheduler.run` packs the nodes into rows of that
+    length and executes the compiled plan of the packed shape.
     """
 
     length: int
@@ -105,7 +119,7 @@ class MicroBatch:
 
     @property
     def signature(self) -> Tuple[int, int]:
-        """The (batch, padded length) plan-cache key this batch executes."""
+        """(batch, padded length): the grouping every front-end shares."""
         return (len(self.nodes), self.length)
 
 
@@ -168,13 +182,13 @@ class WorkGraphScheduler:
         return min(b, p.max_len)
 
     def _fit_to(self, seq, length: int):
-        if len(seq) == length:
+        """Drop an over-long sequence to ``length`` (deterministic RNG);
+        shorter ones pack as they are, never padded."""
+        if len(seq) <= length:
             return seq
-        if len(seq) < length:
-            return self._fit(seq, length)            # pure zero-pad, no RNG
         rng = np.random.default_rng((self.predictor.drop_seed, len(seq),
                                      length))
-        return self._fit(seq, length, rng=rng)       # deterministic drop
+        return self._fit(seq, length, rng=rng)
 
     # -- node construction -------------------------------------------------
     def sequence_nodes(self, seqs: Sequence) -> List[SequenceNode]:
@@ -217,13 +231,13 @@ class WorkGraphScheduler:
     # -- stage 2 -> 3: micro-batch formation (the single truth) ------------
     def plan(self, nodes: Sequence[SequenceNode],
              max_batch: Optional[int] = None) -> List[MicroBatch]:
-        """Form single-signature micro-batches from sequence nodes.
+        """Form single-bucket micro-batches from sequence nodes.
 
         Buckets dispatch in ascending length order; within a bucket,
         nodes keep their relative order and chunk at ``max_batch``
         (default: the predictor's). This is the one implementation of the
         grouping rule — every front-end's batches, and therefore every
-        plan-cache signature, come from here.
+        pack, come from here.
         """
         mb = max_batch if max_batch is not None else self.predictor.max_batch
         groups: dict = {}
@@ -238,11 +252,12 @@ class WorkGraphScheduler:
         return out
 
     # -- stage 3: plan-cache execution -------------------------------------
-    def _forward(self, tokens, coords, valid) -> np.ndarray:
+    def _forward(self, tokens, coords, valid, segments) -> np.ndarray:
         p = self.predictor
         if not p.compiled:
             with nn.no_grad():
-                return p.model.forward(tokens, coords, valid).data
+                return p.model.forward(tokens, coords, valid,
+                                       segments=segments).data
         key = (tokens.shape, valid.shape)
         sig = [list(tokens.shape), list(valid.shape)]
         tr, trk = self._trace()
@@ -250,7 +265,8 @@ class WorkGraphScheduler:
         if cm is None:
             tc0 = tr.clock() if tr is not None else 0.0
             t0 = time.perf_counter()
-            cm = compile_model(p.model, tokens, coords, valid)
+            cm = compile_model(p.model, tokens, coords, valid,
+                               segments=segments)
             self._plans[key] = cm
             p.stats["plans"] = len(self._plans)
             p.stats["compile_seconds"] += time.perf_counter() - t0
@@ -268,7 +284,7 @@ class WorkGraphScheduler:
         if tr is not None and tr.kernels is not None \
                 and cm.plan.profile_hook is None:
             cm.plan.profile_hook = tr.kernels.hook
-        return cm(tokens, coords, valid)
+        return cm(tokens, coords, valid, segments=segments)
 
     # -- stage 4: stitch ---------------------------------------------------
     def _stitch(self, seq, logits_row: np.ndarray) -> np.ndarray:
@@ -282,40 +298,43 @@ class WorkGraphScheduler:
         return stitch_image(seq, K.forward("sigmoid", (), maps))
 
     def run(self, micro: MicroBatch) -> MicroBatch:
-        """Execute one micro-batch: fit, collate, forward, stitch.
+        """Execute one micro-batch: fit, pack, forward, stitch.
 
-        The exact legacy ``predict_sequences`` inner loop — fit each node
-        to the shared bucket length (zero-pad or deterministic drop),
-        collate, one plan execution, then a stitch node per row — so the
-        results are bit-identical to the pre-refactor paths.
+        Over-long sequences drop to the bucket; the rest pack unpadded,
+        back to back, into rows of the bucket length (a lone sequence:
+        one row, the padded shape it always ran at). One plan execution
+        runs the pack, and each node stitches from its own tokens.
         """
         stats = self.predictor.stats
         rt = self.predictor.sparsity
         tr, trk = self._trace()
         t0 = tr.clock() if tr is not None else 0.0
         fitted = [self._fit_to(n.seq, micro.length) for n in micro.nodes]
+        tokens, coords, valid, segments = pack_sequences(
+            fitted, [micro.length] * len(fitted), micro.length)
         stats["real_tokens"] += sum(len(n.seq) for n in micro.nodes)
-        stats["padded_tokens"] += len(micro.nodes) * micro.length
-        tokens, coords, valid = collate_sequences(fitted)
+        stats["padded_tokens"] += valid.size
         t1 = 0.0
         if tr is not None:
             t1 = tr.clock()
             tr.complete("batch.form", trk, t0, t1, tid="engine",
                         args={"size": len(micro.nodes),
                               "length": micro.length})
-        logits = self._forward(tokens, coords, valid)
+        logits = self._forward(tokens, coords, valid, segments)
+        logits = logits.reshape(-1, logits.shape[-1])
         if tr is not None:
             t2 = tr.clock()
             tr.complete("execute", trk, t1, t2, tid="engine",
                         args={"signature": [len(micro.nodes), micro.length]})
-        for j, node in enumerate(micro.nodes):
+        for node, seq, (start, n, _) in zip(micro.nodes, fitted, segments):
+            rows_j = logits[start:start + n]
             if node.sparse is not None:
-                maps = rt.reconstruct(node, logits[j])
+                maps = rt.reconstruct(node, rows_j)
                 node.result = self._stitch(node.sparse.full_seq, maps)
             else:
-                node.result = self._stitch(fitted[j], logits[j])
+                node.result = self._stitch(seq, rows_j)
                 if rt is not None:
-                    rt.seed_dense(node, logits[j])
+                    rt.seed_dense(node, rows_j)
             if rt is not None:
                 rt.finish(node, node.result)
             node.done = True

@@ -167,7 +167,7 @@ class SparseRuntime:
 
     # -- post-forward reconstruction ---------------------------------------
     def reconstruct(self, node, logits: np.ndarray) -> np.ndarray:
-        """Expand reduced logits (padded length, D) to the full layout.
+        """Expand reduced logits (one row per token, D) to the full layout.
 
         Short-circuited rows come from the table copies taken at plan
         time (eviction-proof), then the representatives' in-context rows
@@ -194,9 +194,9 @@ class SparseRuntime:
     def seed_dense(self, node, logits_row: np.ndarray) -> None:
         """Harvest background rows from a dense-plan forward.
 
-        ``logits_row`` is the node's (padded length, D) slice of the
-        micro-batch output; row ``i`` is token ``i`` because padding only
-        appends. A sequence the fitter had to *drop-fit* is skipped — its
+        ``logits_row`` is the node's own (tokens, D) slice of the packed
+        micro-batch output; row ``i`` is token ``i``. A sequence the
+        fitter had to *drop-fit* is skipped — its
         row map is unreliable (and `_plan` never forms sparse plans for
         those either).
         """

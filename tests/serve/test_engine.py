@@ -433,6 +433,39 @@ class TestThreadedEngine:
         assert engine.stats()["engine"]["completed"] + \
             engine.stats()["engine"].get("cache_hits", 0) == len(imgs)
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_submit_after_batcher_death_raises(self, monkeypatch):
+        """Regression: once the batcher thread has died, submissions must
+        fail fast instead of queueing futures nothing will ever resolve."""
+
+        class Fatal(BaseException):
+            pass
+
+        def die(seqs):
+            raise Fatal("batcher killed")
+
+        imgs = _images(3)
+        pred = _predictor(_model(), max_batch=2, bucket=16)
+        engine = InferenceEngine(pred, flush_deadline=0.0)
+        monkeypatch.setattr(engine.scheduler, "execute", die)
+        engine.start(warmup=False)
+        try:
+            first = engine.submit(imgs[0])
+            engine._thread.join(timeout=60)
+            assert not engine._thread.is_alive()
+            assert isinstance(first.exception(timeout=60), Fatal)
+            with pytest.raises(RuntimeError):
+                engine.submit(imgs[1])
+            with pytest.raises(RuntimeError):
+                engine.submit_volume(np.zeros((2, 64, 64)))
+            assert engine.pending == 0
+            assert engine.stats()["result_cache"]["inflight"] == 0
+            assert not engine._collapsed
+        finally:
+            monkeypatch.undo()
+            engine.stop()
+
 
 def _fail_first_execute(engine, monkeypatch):
     """Make the engine's next ``scheduler.execute`` raise, then recover."""
