@@ -47,20 +47,20 @@ def collate_sequences(seqs: Sequence[PatchSequence]):
     return tokens, coords, valid
 
 
-def pack_sequences(seqs: Sequence, buckets: Sequence[int], width: int):
+def pack_sequences(seqs: Sequence, width: int, rows: int = 1):
     """Serving counterpart of :func:`collate_sequences`: no padding.
 
     The sequences run back to back through ``k = ceil(Σ len / width)``
-    rows (one may straddle two); filler tokens (``valid`` False) end the
-    last row. Rows as wide as the bucket keep every matmul at the shape a
-    sequence runs at alone. Returns ``tokens, coords, valid`` as
-    ``collate_sequences`` does, shaped (k, width, ...), and ``segments``:
-    one ``(start, length, bucket)`` int row per sequence, ``start`` in
-    flattened tokens, ``bucket`` the padded length its attention runs at.
+    rows (one may straddle two), or ``rows`` if that is more; filler
+    tokens (``valid`` False) fill the rest. Rows as wide as the bucket
+    keep every matmul at the shape a sequence runs at alone. Returns
+    ``tokens, coords, valid`` as ``collate_sequences`` does, shaped
+    (k, width, ...), and ``segments``: one ``(start, length)`` int row per
+    sequence, ``start`` in flattened tokens.
     """
     lengths = [len(s) for s in seqs]
     total = sum(lengths)
-    rows = max(-(-total // width), 1)
+    rows = max(-(-total // width), rows)
 
     def cat(parts):
         fill = np.zeros((rows * width - total,) + parts[0].shape[1:],
@@ -71,7 +71,7 @@ def pack_sequences(seqs: Sequence, buckets: Sequence[int], width: int):
     starts = np.cumsum([0] + lengths[:-1])
     return (cat([s.tokens() for s in seqs]), cat([s.coords() for s in seqs]),
             cat([s.valid for s in seqs]),
-            np.stack([starts, lengths, buckets], axis=1).astype(np.int64))
+            np.stack([starts, lengths], axis=1).astype(np.int64))
 
 
 class PatchEmbedding(nn.Module):

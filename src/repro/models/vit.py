@@ -72,10 +72,10 @@ class ViTBackbone(nn.Module):
             feeds["attn_bias"] = nn.attention_bias(valid, dtype)
         if segments is not None:
             pos = np.zeros(feeds["tokens"].shape[:2], dtype)
-            table = np.zeros((pos.size, 3), dtype)
-            for i, (start, n, bucket) in enumerate(segments):
+            table = np.zeros((pos.size, 2), dtype)
+            table[:len(segments)] = segments
+            for start, n in segments:
                 pos.reshape(-1)[start:start + n] = np.arange(n)
-                table[i] = (start, n, bucket)
             feeds["pos_ids"], feeds["segments"] = pos, table
         return feeds
 

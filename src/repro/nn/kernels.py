@@ -14,8 +14,10 @@ Each :class:`Kernel` carries up to two implementations:
     The allocating reference forward. This is what eager mode calls.
 ``fn_out(params, out, scratch, *inputs)``
     An optional destination-passing variant used by the compiled executor:
-    it writes the result into a preallocated ``out`` buffer (``scratch`` is a
-    shape-keyed pool for large intermediates). Implementations must replay
+    it writes the result into a preallocated ``out`` buffer
+    (``scratch(shape, dtype, tag="")`` hands out buffers for large
+    intermediates: the plan's persistent ones when compiled, fresh ones
+    for an eager call). Implementations must replay
     the exact ufunc arithmetic of ``fn`` — NumPy ufuncs produce identical
     bits with and without ``out=`` — so buffer reuse never changes a value.
 
@@ -326,58 +328,34 @@ def _layer_norm_out(p, out, sc, x, w, b):
 register("layer_norm", _layer_norm, _layer_norm_out)
 
 
-class _Scratch(threading.local):
-    def __init__(self) -> None:
-        self.pool: Dict[tuple, np.ndarray] = {}
-        self.groups: tuple = (None, None)
+def _fresh(shape, dtype, tag: str = "") -> np.ndarray:
+    """Scratch for an eager call: a new array each time (the compiled
+    executor passes :meth:`repro.runtime.ExecutionPlan.scratch` instead)."""
+    return np.empty(shape, dtype)
 
 
-_scratch = _Scratch()
-
-
-def _rows(tag: str, b: int, shape: tuple, dtype) -> np.ndarray:
-    """``(b, *shape)`` view of a per-thread buffer that every plan shares:
-    attention holds scratch for its largest group seen, not once per
-    compiled plan."""
-    key = (tag, shape, np.dtype(dtype))
-    buf = _scratch.pool.get(key)
-    if buf is None or len(buf) < b:
-        buf = _scratch.pool[key] = np.empty((b,) + shape, dtype)
-    return buf[:b]
-
-
-def varlen_groups(segments: np.ndarray) -> Dict[int, np.ndarray]:
-    """Bucket length -> its ``(start, length, bucket)`` rows, from a packed
-    ``segments`` feed (float-coded ints; zero-length rows are unused).
-    Every layer of a forward sees the same feed, so the last one is kept."""
-    key = segments.tobytes()
-    if _scratch.groups[0] != key:
-        seg = segments.astype(np.intp)
-        seg = seg[seg[:, 1] > 0]
-        _scratch.groups = (key, {int(L): seg[seg[:, 2] == L]
-                                 for L in np.unique(seg[:, 2])})
-    return _scratch.groups[1]
+def varlen_segments(segments: np.ndarray) -> np.ndarray:
+    """The ``(start, length)`` int rows of a packed ``segments`` feed
+    (float-coded; zero-length rows are unused)."""
+    seg = segments.astype(np.intp)
+    return seg[seg[:, 1] > 0]
 
 
 def _sdpa_out(p, out, sc, q, k, v, bias):
     """Multi-head attention of a padded (B, L, D) batch into ``out``: the
     ufuncs of the autograd chain in ``MultiHeadAttention`` (matmul, scale,
-    additive bias, softmax, matmul), in place on shared scratch."""
+    additive bias, softmax, matmul), in place on scratch from ``sc``."""
     heads = p[0]
     b, L, dim = q.shape
     dh = dim // heads
     qh, kh, vh = (x.reshape(b, L, heads, dh).transpose(0, 2, 1, 3)
                   for x in (q, k, v))
-    S = _rows("S", b, (heads, L, L), q.dtype)
-    C = _rows("C", b, (heads, L, dh), q.dtype)
+    S = sc((b, heads, L, L), q.dtype, "scores")
+    C = sc((b, heads, L, dh), q.dtype, "context")
     np.matmul(qh, kh.transpose(0, 1, 3, 2), out=S)
     np.multiply(S, q.dtype.type(1.0 / math.sqrt(dh)), out=S)
     np.add(S, bias, out=S)
-    m = S.max(axis=-1, keepdims=True)
-    np.subtract(S, m, out=S)
-    np.exp(S, out=S)
-    z = S.sum(axis=-1, keepdims=True)
-    np.divide(S, z, out=S)
+    _softmax_out((-1,), S, sc, S)
     np.matmul(S, vh, out=C)
     out.reshape(b, L, heads, dh)[...] = C.transpose(0, 2, 1, 3)
     return out
@@ -386,39 +364,39 @@ def _sdpa_out(p, out, sc, q, k, v, bias):
 def _sdpa_varlen_out(p, out, sc, q, k, v, bias, segments):
     """Attention within each packed segment, never across segments.
 
-    ``q``/``k``/``v``/``bias`` are as for ``sdpa``, with tokens addressed
-    flat by the ``segments`` rows. Segments of one bucket length gather
-    into a zero-padded (b, bucket, D) batch — the batch the unpacked model
-    runs — for ``sdpa``, and their real tokens scatter back (filler comes
-    out zero). Padding keys get exactly zero weight, so no segment sees
-    another's values. A pack whose segments each start a row *is* that
-    padded batch and runs in place.
+    ``q``/``k``/``v``/``bias`` are (rows, L, ...) as for ``sdpa``, with
+    tokens addressed flat by the ``segments`` rows. Every segment attends
+    at the row width L: the segments gather into a zero-padded (b, L, D)
+    batch — the batch the unpacked model runs — for ``sdpa``, and their
+    real tokens scatter back (filler comes out zero). Padding keys get
+    exactly zero weight, so no segment sees another's values. A pack whose
+    segments each start a row *is* that padded batch (plus filler rows)
+    and runs in place.
     """
-    rows, width, dim = q.shape
-    groups = varlen_groups(segments)
-    grp = groups.get(width, ())
-    if len(groups) == 1 and len(grp) == rows and \
-            (grp[:, 0] == np.arange(rows) * width).all():
-        return _sdpa_out(p, out, sc, q, k, v, bias)
+    rows, L, dim = q.shape
+    seg = varlen_segments(segments)
+    b = len(seg)
+    if (seg[:, 0] == np.arange(b) * L).all():
+        out[b:] = 0
+        _sdpa_out(p, out[:b], sc, q[:b], k[:b], v[:b], bias[:b])
+        return out
     q, k, v, flat = (x.reshape(-1, dim) for x in (q, k, v, out))
     bias = bias.reshape(-1)
-    out.fill(0)
-    for L, grp in groups.items():
-        b = len(grp)
-        qs, ks, vs, ctx = (_rows(t, b, (L, dim), q.dtype) for t in "qkvo")
-        bs = _rows("bias", b, (1, 1, L), q.dtype)
-        for j, (s, n, _) in enumerate(grp):
-            for dst, src in ((qs, q), (ks, k), (vs, v)):
-                dst[j, :n] = src[s:s + n]
-                dst[j, n:] = 0
-            bs[j, 0, 0, :n] = bias[s:s + n]
-            bs[j, 0, 0, n:] = -1e9
-        _sdpa_out(p, ctx, sc, qs, ks, vs, bs)
-        for j, (s, n, _) in enumerate(grp):
-            flat[s:s + n] = ctx[j, :n]
+    qs, ks, vs, ctx = (sc((b, L, dim), q.dtype, t) for t in "qkvo")
+    bs = sc((b, 1, 1, L), q.dtype, "bias")
+    for j, (s, n) in enumerate(seg):
+        for dst, src in ((qs, q), (ks, k), (vs, v)):
+            dst[j, :n] = src[s:s + n]
+            dst[j, n:] = 0
+        bs[j, 0, 0, :n] = bias[s:s + n]
+        bs[j, 0, 0, n:] = -1e9
+    _sdpa_out(p, ctx, sc, qs, ks, vs, bs)
+    flat.fill(0)
+    for j, (s, n) in enumerate(seg):
+        flat[s:s + n] = ctx[j, :n]
     return out
 
 
 for _name, _out in (("sdpa", _sdpa_out), ("sdpa_varlen", _sdpa_varlen_out)):
-    register(_name, lambda p, *xs, f=_out: f(p, np.empty_like(xs[0]), None,
+    register(_name, lambda p, *xs, f=_out: f(p, np.empty_like(xs[0]), _fresh,
                                              *xs), _out)

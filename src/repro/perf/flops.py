@@ -102,14 +102,13 @@ def kernel_cost(op: str, in_shapes: Sequence[Tuple[int, ...]],
         if op == "linear_gelu":
             flops += 8.0 * out_n        # tanh-GELU polynomial + tanh
     elif op in ("sdpa", "sdpa_varlen"):
-        # in_shapes = one (b, H, L, dh) shape per bucket group of the call
-        # (a padded batch is one group; a packed one groups its segments):
-        # QK^T and S @ V are 2·dh each per score, plus scale, bias and a
-        # 5-op softmax, so Σ b·H·L²·(4·dh + 7) — never the packed R².
+        # in_shapes = ((b, H, L, dh),): the b sequences of the call, each
+        # attending at length L (a packed call counts its segments, never
+        # the packed rows' R²). QK^T and S @ V are 2·dh each per score,
+        # plus scale, bias and a 5-op softmax: b·H·L²·(4·dh + 7).
         # Bytes: q, k, v read and the context written.
-        return (sum(b * h * L * L * (4.0 * dh + 7.0)
-                    for b, h, L, dh in in_shapes),
-                4.0 * itemsize * out_n)
+        b, h, L, dh = in_shapes[0]
+        return b * h * L * L * (4.0 * dh + 7.0), 4.0 * itemsize * out_n
     elif op == "softmax":
         flops = 5.0 * out_n
     elif op == "layer_norm":

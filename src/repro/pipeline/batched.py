@@ -19,7 +19,7 @@ paper-faithful reference implementation). The speed comes from three places:
    a single region-sum lookup per depth across all images, and summed-area
    tables built only on the ``patch_size`` grid the builder queries.
 3. **Cache-sized dense passes**: the blur and the screen run per block of
-   rows through per-batch scratch buffers, so their ~12 elementwise passes
+   rows through per-thread scratch buffers, so their ~12 elementwise passes
    each stay in L2 instead of streaming full-image temporaries.
 
 Dense full-image work (blur, screening, gather) deliberately stays per-image
@@ -31,6 +31,7 @@ amortizes across the shared frontier.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -57,11 +58,13 @@ _BLOCK = 16384
 
 
 class _Scratch:
-    """Shape-keyed reusable buffer pool, allocated once per batch.
+    """Shape-keyed reusable buffer pool, one per thread (``_local``).
 
     Full-image float64 temporaries dominate the dense stages' cost on
-    bandwidth-bound hosts; reusing them across the images of a batch keeps
-    the working set hot instead of faulting fresh pages every image.
+    bandwidth-bound hosts; reusing them across images and calls keeps the
+    working set hot instead of faulting fresh pages every image (freed,
+    they sit at the top of the heap, which glibc hands back to the OS
+    once it outgrows the trim threshold).
     """
 
     def __init__(self):
@@ -82,6 +85,10 @@ class _Scratch:
             buf = np.zeros(shape, dtype=dtype)
             self._bufs[name] = buf
         return buf
+
+
+#: Per-thread home of the dense stages' :class:`_Scratch`.
+_local = threading.local()
 
 
 def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
@@ -287,7 +294,7 @@ class BatchedAdaptivePatcher(AdaptivePatcher):
         Each slice is bit-identical to ``self.detail_map(images[b])``.
         """
         cfg = self.config
-        scratch = _Scratch()
+        scratch = _local.__dict__.setdefault("scratch", _Scratch())
         out = None
         for i, image in enumerate(images):
             gray = to_grayscale(np.asarray(image, dtype=np.float64))

@@ -94,15 +94,15 @@ class ExecutionPlan:
                                              None]] = None
 
     # -- build-time helpers (used by compile_graph) ----------------------
-    def scratch(self, shape, dtype) -> np.ndarray:
-        """One persistent scratch array per (shape, dtype) — kernels use at
-        most one scratch of a given shape per call."""
-        key = (tuple(shape), np.dtype(dtype))
+    def scratch(self, shape, dtype, tag: str = "") -> np.ndarray:
+        """Persistent scratch: the first ``shape[0]`` entries of one array
+        per (tag, trailing shape, dtype), grown to the largest request.
+        A kernel call uses at most one scratch per tag and trailing shape."""
+        key = (tag, tuple(shape[1:]), np.dtype(dtype))
         buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(key[0], dtype=key[1])
-            self._scratch[key] = buf
-        return buf
+        if buf is None or len(buf) < shape[0]:
+            buf = self._scratch[key] = np.empty(tuple(shape), dtype)
+        return buf[:shape[0]]
 
     def add_step(self, name: str, fn: Callable[[], None],
                  meta: Optional[dict] = None) -> None:
@@ -361,9 +361,9 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
                 out = pool.get(n.shape, n.dtype)
             name, meta = n.op, None
             if n.op in ("sdpa", "sdpa_varlen"):
-                # Attention is one fused step named "sdpa". Its cost sums
-                # b·H·L² over the bucket groups of the call's segments, so
-                # a packed step re-stamps it per run when profiled.
+                # Attention is one fused step named "sdpa". It costs
+                # b·H·L² for its b segments, so a packed step re-stamps
+                # its cost per run when profiled.
                 name, meta = "sdpa", {"flops": 0.0, "bytes": 0.0}
                 fused_sdpa += 1
                 packed = n.op == "sdpa_varlen"
@@ -371,13 +371,13 @@ def compile_graph(graph: Graph) -> ExecutionPlan:
                 def stamp(meta=meta, ins=ins, h=n.params[0], out=out,
                           packed=packed):
                     b, L, dim = out.shape
-                    groups = ([(len(g), h, g_len, dim // h) for g_len, g in
-                               K.varlen_groups(ins[-1]).items()]
-                              if packed else [(b, h, L, dim // h)])
+                    if packed:
+                        b = len(K.varlen_segments(ins[-1]))
                     meta["flops"], meta["bytes"] = kernel_cost(
-                        "sdpa", groups, out.shape, out.itemsize)
+                        "sdpa", [(b, h, L, dim // h)], out.shape,
+                        out.itemsize)
 
-                if not packed:
+                if not packed:              # input buffers unset yet
                     stamp()
 
                 def run(out=out, kernel=kernel, params=n.params, ins=ins,

@@ -30,7 +30,9 @@ small-matrix path, which rounds a narrow output (the 256→16 head of the
 ``tile_api`` model) differently at M = 64 than at M ≥ 96: up to 9.5e-7
 in a logit over 512 tiles in packs of 8, against exactly 0 as packed.
 ``stats()["predictor"]["padded_tokens"]`` counts the tokens the model
-executed, filler included.
+executed, filler included. :meth:`InferenceEngine.warmup` primes packs of
+1 and ``max_batch`` rows per bucket; a flush that packs into fewer rows
+tops up with filler rows to the primed shape instead of compiling.
 
 Beyond batching, the engine layers on what a front-end needs:
 

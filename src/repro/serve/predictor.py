@@ -143,7 +143,9 @@ class Predictor:
         ``lengths`` are padded to the bucket grid and capped at the
         positional table, then compiled for each of ``batch_sizes`` rows
         (default: 1 and ``max_batch`` — the partial-flush and full-flush
-        extremes); a batch of b sequences packs into at most b rows.
+        extremes). A batch of b sequences packs into k ≤ b rows and runs
+        on the smallest compiled shape with at least k rows (filler rows
+        are inert), so these two cover every pack of a bucket.
         Shapes already in the plan cache are skipped; the dummy inputs
         are zeros, one full sequence per row, which exercise the
         identical kernel graph as real traffic (packed layouts are run-time
@@ -169,7 +171,7 @@ class Predictor:
                     continue
                 coords = np.zeros((b, length, coord_dim))
                 valid = np.ones((b, length), dtype=bool)
-                segments = [(i * length, length, length) for i in range(b)]
+                segments = [(i * length, length) for i in range(b)]
                 self.scheduler._forward(tokens, coords, valid, segments)
                 compiled += 1
         return {"plans": len(self._plans), "compiled": compiled,

@@ -42,7 +42,10 @@ front-ends.
 :meth:`run` then packs a micro-batch instead of padding it: its natural
 sequences (over-long ones dropped to the bucket length L) run back to
 back through ``k = ceil(Σ nᵢ / L)`` rows of L tokens
-(:func:`~repro.models.embedding.pack_sequences`). Linears, layer norms
+(:func:`~repro.models.embedding.pack_sequences`), raised with zero
+filler rows to the smallest compiled plan of width L that has room, so
+a server primed at 1 and ``max_batch`` rows never compiles a partial
+pack in the request path. Linears, layer norms
 and residual adds run on those rows, every matmul still at M = L, and
 attention runs per sequence on its own zero-padded L×L block
 (``sdpa_varlen``). A lone sequence thus runs its old padded batch bit for
@@ -50,7 +53,8 @@ bit, and with OpenBLAS a pack member gets the bits it gets alone. The
 tested contract allows a BLAS to round a row by its offset in a block:
 compiled packed output equals eager packed output bitwise, and a pack
 member is within 1e-6 in probability of its single run, with equal class
-maps. ``stats["padded_tokens"]`` counts executed tokens (k·L per batch).
+maps. ``stats["padded_tokens"]`` counts executed tokens (rows·L per
+batch, filler rows included).
 """
 
 from __future__ import annotations
@@ -252,6 +256,15 @@ class WorkGraphScheduler:
         return out
 
     # -- stage 3: plan-cache execution -------------------------------------
+    def _pack_rows(self, fitted, width: int) -> int:
+        """Rows to pack ``fitted`` into: the fewest that hold them, raised
+        to the smallest compiled plan of this width that has room. Filler
+        rows are inert and every row runs its own matmuls, so the real
+        tokens keep their bits, and a primed server never compiles."""
+        need = max(-(-sum(len(s) for s in fitted) // width), 1)
+        return min((t[0] for t, _ in list(self._plans)
+                    if t[1] == width and t[0] >= need), default=need)
+
     def _forward(self, tokens, coords, valid, segments) -> np.ndarray:
         p = self.predictor
         if not p.compiled:
@@ -311,7 +324,7 @@ class WorkGraphScheduler:
         t0 = tr.clock() if tr is not None else 0.0
         fitted = [self._fit_to(n.seq, micro.length) for n in micro.nodes]
         tokens, coords, valid, segments = pack_sequences(
-            fitted, [micro.length] * len(fitted), micro.length)
+            fitted, micro.length, self._pack_rows(fitted, micro.length))
         stats["real_tokens"] += sum(len(n.seq) for n in micro.nodes)
         stats["padded_tokens"] += valid.size
         t1 = 0.0
@@ -326,7 +339,7 @@ class WorkGraphScheduler:
             t2 = tr.clock()
             tr.complete("execute", trk, t1, t2, tid="engine",
                         args={"signature": [len(micro.nodes), micro.length]})
-        for node, seq, (start, n, _) in zip(micro.nodes, fitted, segments):
+        for node, seq, (start, n) in zip(micro.nodes, fitted, segments):
             rows_j = logits[start:start + n]
             if node.sparse is not None:
                 maps = rt.reconstruct(node, rows_j)
