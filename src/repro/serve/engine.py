@@ -431,6 +431,17 @@ class InferenceEngine:
         return agg
 
     # -- execution ---------------------------------------------------------
+    def _fail(self, reqs: List[Request], exc: BaseException) -> None:
+        """Fail requests through the admission teardown: drop the
+        reservations (or every later identical payload would collapse onto
+        a dead primary and hang), fail the collapsed twins, and close the
+        trace intervals — then resolve the primaries too."""
+        with self._cond:
+            failed = self._rollback(reqs, exc)
+        for r in reqs:
+            r.future.set_exception(exc)
+        self.metrics.inc("failed", failed)
+
     def _run(self, batch: List[Request], started: float) -> BatchReport:
         t0 = time.perf_counter()
         # Pump the shared work-graph scheduler: the exact predict_batch
@@ -438,15 +449,7 @@ class InferenceEngine:
         try:
             maps = self.scheduler.execute([r.seq for r in batch])
         except BaseException as exc:
-            # Fail the whole batch through the admission teardown: drop the
-            # reservations (or every later identical payload would collapse
-            # onto a dead primary and hang), fail the collapsed twins, and
-            # close the trace intervals — then resolve the primaries too.
-            with self._cond:
-                failed = self._rollback(batch, exc)
-            for r in batch:
-                r.future.set_exception(exc)
-            self.metrics.inc("failed", failed)
+            self._fail(batch, exc)
             raise
         real_s = time.perf_counter() - t0
         length = batch[0].bucket
@@ -685,26 +688,35 @@ class InferenceEngine:
 
     def _loop(self) -> None:
         mb, deadline = self.config.max_batch, self.config.flush_deadline
-        while True:
+        try:
+            while True:
+                with self._cond:
+                    if not self._running and len(self._queue) == 0:
+                        return
+                    now = self.clock()
+                    due_at = self._queue.next_flush_at(now, mb, deadline)
+                    if due_at is None:
+                        self._cond.wait()
+                        continue
+                    if due_at > now and self._running:
+                        self._cond.wait(timeout=due_at - now)
+                        continue
+                    batch = self._queue.collect(now, mb, deadline,
+                                                force=not self._running)
+                    self.metrics.gauge("queue_depth").set(len(self._queue))
+                if batch:
+                    try:
+                        self._run(batch, now)
+                    except Exception:
+                        pass    # the batch's futures carry the error
+        except BaseException as exc:
+            # the batcher is dying: nothing else would resolve the requests
+            # still waiting behind the failed batch, so fail them with it
             with self._cond:
-                if not self._running and len(self._queue) == 0:
-                    return
-                now = self.clock()
-                due_at = self._queue.next_flush_at(now, mb, deadline)
-                if due_at is None:
-                    self._cond.wait()
-                    continue
-                if due_at > now and self._running:
-                    self._cond.wait(timeout=due_at - now)
-                    continue
-                batch = self._queue.collect(now, mb, deadline,
-                                            force=not self._running)
-                self.metrics.gauge("queue_depth").set(len(self._queue))
-            if batch:
-                try:
-                    self._run(batch, now)
-                except Exception:
-                    pass    # the batch's futures carry the error; keep serving
+                waiting = self._queue.pop_all()
+                self.metrics.gauge("queue_depth").set(0)
+            self._fail(waiting, exc)
+            raise
 
     # -- introspection -----------------------------------------------------
     @property

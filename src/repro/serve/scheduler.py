@@ -220,9 +220,11 @@ class WorkGraphScheduler:
 
         ``kind="volume"`` decomposes a ``(d, Z, Z)`` slab into per-slice
         children; ``kind="image"`` yields a single child. Preprocessing
-        runs through the predictor's pipeline (LRU cache, batch kernels),
-        with content-hash keys when the caller has none — the identical
-        acquisition path every other front-end uses.
+        runs through the predictor's pipeline (LRU cache, batch kernels)
+        — the identical acquisition path every other front-end uses.
+        ``keys`` name the children for the pipeline cache, one per child
+        (the streaming runner passes source tile keys); without them the
+        pipeline content-hashes each child.
         """
         region = np.asarray(region)
         if kind == "volume":

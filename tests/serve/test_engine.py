@@ -466,6 +466,42 @@ class TestThreadedEngine:
             monkeypatch.undo()
             engine.stop()
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_batcher_death_fails_requests_queued_behind_it(self,
+                                                           monkeypatch):
+        """Regression: requests still waiting when the batcher dies (and
+        their collapsed twins) must fail with it, not hang forever."""
+
+        class Fatal(BaseException):
+            pass
+
+        def die(seqs):
+            raise Fatal("batcher killed")
+
+        imgs = _images(5)
+        pred = _predictor(_model(), max_batch=2, bucket=16)
+        engine = InferenceEngine(pred, flush_deadline=0.0)
+        monkeypatch.setattr(engine.scheduler, "execute", die)
+        futs = [engine.submit(im) for im in imgs]
+        futs.append(engine.submit(imgs[-1]))      # collapsed twin
+        assert engine.pending == 5 > engine.config.max_batch
+        assert engine._collapsed
+        engine.start(warmup=False)
+        try:
+            engine._thread.join(timeout=60)
+            assert not engine._thread.is_alive()
+            assert all(f.done() for f in futs)
+            assert all(isinstance(f.exception(timeout=0), Fatal)
+                       for f in futs)
+            assert engine.pending == 0
+            assert engine.stats()["result_cache"]["inflight"] == 0
+            assert not engine._inflight and not engine._collapsed
+            assert engine.stats()["engine"]["failed"] == len(futs)
+        finally:
+            monkeypatch.undo()
+            engine.stop()
+
 
 def _fail_first_execute(engine, monkeypatch):
     """Make the engine's next ``scheduler.execute`` raise, then recover."""

@@ -104,6 +104,55 @@ class TestPredictorMode:
             sink.write(plan.tiles[0], np.full((TILE, TILE), 300))
 
 
+class TestSourceKeys:
+    """Predictor mode names tiles by ``tile_key``: no pixel is hashed."""
+
+    @pytest.mark.parametrize("make", [
+        _wsi,
+        lambda: ArraySource(_wsi(seed=6).read_region((0, 0), (RES, RES))),
+    ])
+    def test_stream_never_content_hashes(self, make, monkeypatch):
+        src, plan = make(), _plan()
+        model = _model()
+        reference = _predictor(model)
+        expected = [class_map(reference.predict_image(
+            src.read_region(t.origin, t.size))) for t in plan.tiles]
+
+        def refuse(image):
+            raise AssertionError("a streamed tile was content-hashed")
+
+        monkeypatch.setattr("repro.pipeline.engine.content_key", refuse)
+        sink = MemorySink()
+        StreamingRunner(_predictor(model)).run(src, plan, sink)
+        for tile, want in zip(plan.tiles, expected):
+            got = sink.read(tile)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_slab_slices_get_distinct_keys(self):
+        vol = np.clip(np.random.default_rng(3).random((7, 32, 32)), 0, 1)
+        plan = plan_volume(vol.shape, slab=3)
+        model = _model()
+        pred = _predictor(model)
+        seen = []
+        process = pred.pipeline.process
+
+        def spy(images, keys=None):
+            seen.extend(keys)
+            return process(images, keys)
+
+        pred.pipeline.process = spy
+        sink = MemorySink()
+        StreamingRunner(pred).run(ArraySource(vol, kind="volume"), plan, sink)
+        assert len(seen) == len(set(seen)) == vol.shape[0]
+        reference = _predictor(model)
+        for tile in plan.tiles:
+            z0, d = tile.origin[0], tile.size[0]
+            expected = np.stack(reference.predict_class_slices(
+                [vol[i] for i in range(z0, z0 + d)]))
+            np.testing.assert_array_equal(sink.read(tile), expected)
+
+
 class TestCheckpointResume:
     def test_killed_run_resumes_byte_identical(self, tmp_path):
         src, plan = _wsi(), _plan()

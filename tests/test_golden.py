@@ -114,3 +114,33 @@ class TestOctreeGolden:
             got = digest(leaves.zs, leaves.ys, leaves.xs, leaves.sizes,
                          leaves.depths)
             assert got == OCTREE_GOLDEN[seed]
+
+
+#: content_key values as computed by hashing ``a.tobytes()``: hashing the
+#: contiguous buffer in place must not move a single key (the engine result
+#: cache and the router's rendezvous placements are keyed on them).
+CONTENT_KEY_GOLDEN = {
+    "float64": ((32, 32, 3), "<f8", "e1e53182d0ec9917daa240c4ce2b74a0"),
+    "uint8": ((32, 32), "|u1", "2062f0ee2a955263f30507f958d21619"),
+    "hw1_transposed": ((16, 24, 1), "<f8", "371ccd4fa842bde4ab90ad5b840c2003"),
+    "strided_slice": ((16, 11, 3), "<f8", "9abd4acce4fdacecd1b5a5b4da30ed9c"),
+}
+
+
+def _content_key_inputs():
+    return {
+        "float64": np.random.default_rng(0).random((32, 32, 3)),
+        "uint8": np.random.default_rng(1).integers(0, 256, (32, 32),
+                                                   dtype=np.uint8),
+        # the channel-adapted layout the pipeline hashes: (1, H, W) -> (H, W, 1)
+        "hw1_transposed": np.random.default_rng(2).random(
+            (1, 16, 24)).transpose(1, 2, 0),
+        "strided_slice": np.random.default_rng(3).random((32, 32, 3))[::2, 1::3],
+    }
+
+
+class TestContentKeyGolden:
+    def test_keys_match_golden(self):
+        from repro.pipeline.engine import content_key
+        for name, a in _content_key_inputs().items():
+            assert content_key(a) == CONTENT_KEY_GOLDEN[name], name
