@@ -167,10 +167,10 @@ class PatchPipeline:
                 ) -> List[PatchSequence]:
         """Natural (no drop/pad) sequences for a batch, cache-aware.
 
-        ``keys`` are stable per-image cache ids (dataset indices, source
-        tile keys); each must name exactly one image's pixels. Without
-        them every image is content-hashed (:func:`content_key`), which
-        for a 1024² RGB tile costs about as much as the model forward.
+        ``keys`` are stable per-image cache ids (e.g. dataset indices);
+        each must name exactly one image's pixels. Without them every
+        image is content-hashed (:func:`content_key`), which for a 1024²
+        RGB tile costs about as much as the model forward.
         """
         if keys is not None and len(keys) != len(images):
             raise ValueError(f"got {len(keys)} keys for {len(images)} images")

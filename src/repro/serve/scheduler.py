@@ -222,9 +222,8 @@ class WorkGraphScheduler:
         children; ``kind="image"`` yields a single child. Preprocessing
         runs through the predictor's pipeline (LRU cache, batch kernels)
         — the identical acquisition path every other front-end uses.
-        ``keys`` name the children for the pipeline cache, one per child
-        (the streaming runner passes source tile keys); without them the
-        pipeline content-hashes each child.
+        ``keys`` name the children for the pipeline cache, one per child;
+        without them the pipeline content-hashes each child.
         """
         region = np.asarray(region)
         if kind == "volume":

@@ -14,9 +14,9 @@ Two drive modes over unchanged numerics:
   :class:`~repro.serve.scheduler.WorkGraphScheduler` (the same plan
   cache, bucketing, and vectorized stitch every other front-end uses),
   so streamed class maps are **bit-identical** to the non-streamed
-  per-tile reference. Tiles are named by the source's
-  :meth:`~repro.stream.source.TiledSource.tile_key`, not by hashing their
-  pixels. This is the mode the bench gate pins.
+  per-tile reference. Each tile is read once, so it is never
+  content-hashed for the pipeline cache. This is the mode the bench gate
+  pins.
 * **Engine mode** (``StreamingRunner(engine=engine)``) — overlapped:
   up to ``max_inflight`` tiles are submitted to the
   :class:`~repro.serve.engine.InferenceEngine` (continuous batcher, plan
@@ -41,7 +41,7 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -259,9 +259,7 @@ class StreamingRunner:
                         self._retire_oldest(inflight, sink)
                 else:
                     report.peak_inflight = max(report.peak_inflight, 1)
-                    key = source.tile_key(tile.origin, tile.size)
-                    sink.write(tile, self._predict_tile(region, plan.kind,
-                                                        key))
+                    sink.write(tile, self._predict_tile(region, plan.kind))
                     if tr is not None:
                         tr.instant("tile.retire", "stream", tr.clock(),
                                    args={"index": tile.index})
@@ -295,20 +293,19 @@ class StreamingRunner:
             sink.finalize(plan, report.to_dict())
         return report
 
-    def _predict_tile(self, region: np.ndarray, kind: str,
-                      key: Hashable) -> np.ndarray:
+    def _predict_tile(self, region: np.ndarray, kind: str) -> np.ndarray:
         """Predictor mode: macro-tile -> TileNode -> drain -> reduce.
 
         The tile expands through the shared work-graph scheduler — per
         slice for a ``(d, Z, Z)`` slab, a single child for an image tile
         — so the streamed path rides the exact bucketing, plan cache and
-        stitch every other front-end uses. Children are named by the
-        source's ``key`` (``(key, i)`` for slice ``i``), so the pipeline
-        never hashes a streamed tile's pixels.
+        stitch every other front-end uses. A streamed tile is read once
+        and never recurs, so its children get fresh keys that match no
+        cache entry: the pipeline never hashes their pixels.
         """
         sched = self.predictor.scheduler
         n = region.shape[0] if kind == "volume" else 1
         node = sched.tile_node(region, kind,
-                               keys=[(key, i) for i in range(n)])
+                               keys=[object() for _ in range(n)])
         sched.drain(node.children)
         return sched.reduce_tile(node)

@@ -54,6 +54,12 @@ def _assemble(plan: StreamPlan, fetch, dtype) -> np.ndarray:
     return out
 
 
+def _tile_digest(arr: np.ndarray) -> str:
+    """blake2b of one C-contiguous tile's bytes, hashed in place."""
+    return hashlib.blake2b(arr.reshape(-1).view(np.uint8),
+                           digest_size=16).hexdigest()
+
+
 def _digest(plan: StreamPlan, fetch) -> str:
     """Order-independent content digest: tiles hashed in origin order."""
     h = hashlib.blake2b(digest_size=16)
@@ -104,6 +110,9 @@ class NpyDirectorySink:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.dtype = np.dtype(dtype) if dtype is not None else None
+        #: digests of the tiles this sink wrote, taken from the bytes in
+        #: memory so :meth:`finalize` need not hash them again
+        self._tile_digests: Dict[str, str] = {}
 
     def _path(self, tile: MacroTile) -> Path:
         return self.root / f"{tile.name}.npy"
@@ -145,6 +154,7 @@ class NpyDirectorySink:
         """Delete every tile artifact, including orphaned temp files."""
         for p in (*self.root.glob("*.npy"), *self.root.glob("*.tmp")):
             p.unlink()
+        self._tile_digests.clear()
 
     def write(self, tile: MacroTile, class_map: np.ndarray) -> None:
         arr = np.asarray(class_map)
@@ -154,12 +164,14 @@ class NpyDirectorySink:
                 raise ValueError(
                     f"values of {tile.name} do not fit dtype {self.dtype}")
             arr = cast
+        digest = _tile_digest(np.ascontiguousarray(arr))
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=tile.name + ".",
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.save(fh, arr)
             os.replace(tmp, self._path(tile))
+            self._tile_digests[tile.name] = digest
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -181,14 +193,17 @@ class NpyDirectorySink:
 
         One pass over the artifacts: the combined digest accumulates the
         same ``(name, dtype, bytes)`` stream :func:`_digest` hashes, so
-        tiles are loaded once, not twice.
+        tiles are loaded once, not twice. A tile's own digest was taken
+        by :meth:`write`; only tiles an earlier run left on disk are
+        hashed twice here.
         """
         tiles = {}
         combined = hashlib.blake2b(digest_size=16)
         for t in sorted(plan.tiles, key=lambda t: t.origin):
             arr = np.ascontiguousarray(self.read(t))
-            data = arr.tobytes()
-            tiles[t.name] = hashlib.blake2b(data, digest_size=16).hexdigest()
+            data = arr.reshape(-1).view(np.uint8)
+            tiles[t.name] = (self._tile_digests.get(t.name)
+                             or _tile_digest(arr))
             combined.update(t.name.encode())
             combined.update(str(arr.dtype).encode())
             combined.update(data)

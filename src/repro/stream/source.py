@@ -25,8 +25,7 @@ Two concrete sources:
 
 from __future__ import annotations
 
-import itertools
-from typing import Hashable, Optional, Protocol, Tuple
+from typing import Optional, Protocol, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -43,12 +42,6 @@ class TiledSource(Protocol):
     ``kind`` is ``"image"`` (shape ``(H, W)`` or ``(H, W, C)``; regions are
     2-D ``(y, x)`` rectangles) or ``"volume"`` (shape ``(S, Z, Z)``;
     regions are 1-D ``(z,)`` slabs of whole slices).
-
-    ``tile_key`` names a region without reading it. The contract: a key
-    names exactly one set of pixels — equal keys mean byte-equal
-    ``read_region`` results, for the life of the process — so caches can
-    key on it in place of a content digest. Sources over mutable memory
-    must not outlive a mutation: wrap an array again after writing to it.
     """
 
     shape: Tuple[int, ...]
@@ -57,11 +50,6 @@ class TiledSource(Protocol):
     def read_region(self, origin: Tuple[int, ...],
                     size: Tuple[int, ...]) -> np.ndarray:
         """Materialize one region; the only way pixels leave the source."""
-        ...  # pragma: no cover - protocol
-
-    def tile_key(self, origin: Tuple[int, ...],
-                 size: Tuple[int, ...]) -> Hashable:
-        """Name the pixels ``read_region(origin, size)`` returns."""
         ...  # pragma: no cover - protocol
 
 
@@ -82,13 +70,9 @@ class ArraySource:
     Exists so every streaming path can be bit-compared against the
     non-streamed reference on identical pixels — and so moderate scenes
     can use the streaming API (bounded *output* assembly, resume) even
-    when the input fits in RAM. Regions are read-only views, not copies.
-    Keys carry a process-wide token per source (never ``id()``, which a
-    later array may reuse), so a key never outlives its pixels as long
-    as the wrapped array is not mutated behind the source's back.
+    when the input fits in RAM. Regions are views, not copies; treat them
+    as read-only.
     """
-
-    _tokens = itertools.count()
 
     def __init__(self, array: np.ndarray, kind: Optional[str] = None):
         array = np.asarray(array)
@@ -104,10 +88,8 @@ class ArraySource:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         if self.kind == "volume" and array.ndim != 3:
             raise ValueError(f"volume sources need (S, Z, Z), got {array.shape}")
-        self.array = array.view()
-        self.array.setflags(write=False)
+        self.array = array
         self.shape = array.shape
-        self._token = next(self._tokens)
 
     def read_region(self, origin, size) -> np.ndarray:
         _check_region(self.shape, self.kind, origin, size)
@@ -115,9 +97,6 @@ class ArraySource:
             return self.array[origin[0]:origin[0] + size[0]]
         return self.array[origin[0]:origin[0] + size[0],
                           origin[1]:origin[1] + size[1]]
-
-    def tile_key(self, origin, size) -> Hashable:
-        return ("array", self._token, tuple(origin), tuple(size))
 
 
 #: Smooth fields are synthesized on a ``tile/GRID_FACTOR`` grid and
@@ -288,11 +267,6 @@ class VirtualWSISource:
         """(h, w, 3) image pixels of the region (read-only when aligned)."""
         _check_region(self.shape, self.kind, origin, size)
         return self._assemble(origin, size, 0)
-
-    def tile_key(self, origin, size) -> Hashable:
-        """Everything that fixes the region's pixels — never the pixels."""
-        return (type(self).__name__, self.resolution, self.seed, self.organ,
-                self.tile, tuple(origin), tuple(size))
 
     def read_mask_region(self, origin, size) -> np.ndarray:
         """(h, w) ground-truth lesion mask of the region."""

@@ -2,6 +2,8 @@
 non-streamed paths, checkpoint/resume byte-identity, engine-mode overlap and
 backpressure, sinks, and validation."""
 
+import hashlib
+import json
 import threading
 from concurrent.futures import Future
 
@@ -104,8 +106,8 @@ class TestPredictorMode:
             sink.write(plan.tiles[0], np.full((TILE, TILE), 300))
 
 
-class TestSourceKeys:
-    """Predictor mode names tiles by ``tile_key``: no pixel is hashed."""
+class TestNoContentDigest:
+    """Predictor mode never content-hashes a streamed tile."""
 
     @pytest.mark.parametrize("make", [
         _wsi,
@@ -153,6 +155,25 @@ class TestSourceKeys:
             np.testing.assert_array_equal(sink.read(tile), expected)
 
 
+    def test_mutated_array_streams_its_new_pixels(self):
+        slide = _wsi(seed=6).read_region((0, 0), (RES, RES)).copy()
+        src, plan = ArraySource(slide), _plan()
+        model = _model()
+        pred = _predictor(model)       # its cache holds every tile's sequence
+        first = MemorySink()
+        StreamingRunner(pred).run(src, plan, first)
+        slide[:] = _wsi(seed=7).read_region((0, 0), (RES, RES))
+        again = MemorySink()
+        StreamingRunner(pred).run(src, plan, again)
+        reference = _predictor(model)
+        changed = 0
+        for tile in plan.tiles:
+            want = class_map(reference.predict_image(slide[tile.slices()]))
+            np.testing.assert_array_equal(again.read(tile), want)
+            changed += not np.array_equal(first.read(tile), want)
+        assert changed > 0
+
+
 class TestCheckpointResume:
     def test_killed_run_resumes_byte_identical(self, tmp_path):
         src, plan = _wsi(), _plan()
@@ -173,6 +194,23 @@ class TestCheckpointResume:
             a = (tmp_path / "straight" / f"{tile.name}.npy").read_bytes()
             b = (tmp_path / "resumed" / f"{tile.name}.npy").read_bytes()
             assert a == b
+
+    def test_manifest_tile_digests_hash_the_artifacts(self, tmp_path):
+        """Per-tile manifest digests are the blake2b of each artifact's
+        bytes, whether this sink wrote the tile or an earlier run did."""
+        src, plan = _wsi(), _plan()
+        model = _model()
+        with pytest.raises(KeyboardInterrupt):
+            StreamingRunner(_predictor(model)).run(
+                src, plan, _InterruptedSink(NpyDirectorySink(tmp_path), 5))
+        report = StreamingRunner(_predictor(model)).run(
+            src, plan, NpyDirectorySink(tmp_path))
+        assert report.tiles_skipped == 5
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for tile in plan.tiles:
+            data = np.load(tmp_path / f"{tile.name}.npy").tobytes()
+            want = hashlib.blake2b(data, digest_size=16).hexdigest()
+            assert manifest["tiles"][tile.name] == want
 
     def test_resume_false_discards_prior_tiles(self, tmp_path):
         src, plan = _wsi(), _plan()

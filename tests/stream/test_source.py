@@ -48,42 +48,6 @@ class TestArraySource:
             src.read_region((0,), (4,))                    # wrong arity
 
 
-class TestTileKeys:
-    """``tile_key`` names a region's pixels without reading them."""
-
-    def test_array_sources_over_one_array_get_distinct_keys(self):
-        arr = np.random.default_rng(0).random((16, 16))
-        a, b = ArraySource(arr), ArraySource(arr)
-        assert a.tile_key((0, 0), (8, 8)) == a.tile_key((0, 0), (8, 8))
-        assert a.tile_key((0, 0), (8, 8)) != b.tile_key((0, 0), (8, 8))
-        assert a.tile_key((0, 0), (8, 8)) != a.tile_key((8, 0), (8, 8))
-        assert a.tile_key((0, 0), (8, 8)) != a.tile_key((0, 0), (8, 16))
-
-    def test_array_regions_are_read_only(self):
-        arr = np.zeros((8, 8, 3))
-        src = ArraySource(arr)
-        with pytest.raises(ValueError):
-            src.read_region((0, 0), (4, 4))[0, 0] = 1.0
-        vol = ArraySource(np.zeros((4, 8, 8)), kind="volume")
-        with pytest.raises(ValueError):
-            vol.read_region((1,), (2,))[...] = 1.0
-        arr[0, 0] = 1.0        # the caller's own array stays writable
-
-    def test_virtual_keys_follow_the_pixel_parameters(self):
-        base = dict(seed=3, organ=1, tile=32)
-        key = VirtualWSISource(128, **base).tile_key((32, 0), (32, 32))
-        assert key == VirtualWSISource(128, **base).tile_key((32, 0), (32, 32))
-        variants = [VirtualWSISource(256, **base),
-                    VirtualWSISource(128, **{**base, "seed": 4}),
-                    VirtualWSISource(128, **{**base, "organ": 2}),
-                    VirtualWSISource(128, **{**base, "tile": 64})]
-        for src in variants:
-            assert src.tile_key((32, 0), (32, 32)) != key
-        src = VirtualWSISource(128, **base)
-        assert src.tile_key((0, 32), (32, 32)) != key
-        assert src.tile_key((32, 0), (32, 64)) != key
-
-
 class TestVirtualWSI:
     def test_deterministic_across_instances(self):
         a = VirtualWSISource(128, seed=3, organ=1, tile=32)
