@@ -15,7 +15,9 @@ untraced, disabled tracer, enabled tracer — and gates:
   (spans nest, async request intervals pair 1:1, ends carry outcomes),
   every accepted submission opens exactly one request interval and every
   interval closes, a cancelled request is marked ``cancelled``;
-* **determinism** — two same-seed DES runs export byte-identical JSON;
+* **determinism** — two same-seed DES runs export byte-identical JSON,
+  and its sha256 lands in the report, so CI's committed-report check
+  catches a reordered or re-argued event between commits;
 * **kernel profiling** — a wall-mode profiled run joins real per-step
   seconds with cost-model FLOP/byte estimates (achieved GFLOP/s > 0).
 
@@ -23,6 +25,7 @@ The exported trace is written to ``benchmarks/trace_obs.json`` and
 uploaded as a CI artifact next to ``BENCH_obs.json``.
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -210,6 +213,9 @@ def test_obs_overhead_and_invariants_gate():
             "deterministic": True,
             "validation_errors": 0,
             "bytes": len(blobs[0]),
+            # pins event order and arguments across commits (CI compares
+            # the regenerated report with the committed one)
+            "sha256": hashlib.sha256(blobs[0]).hexdigest(),
         },
         "kernels": {k: {"calls": v["calls"],
                         "gflops": round(v["gflops"], 4)}

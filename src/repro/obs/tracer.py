@@ -20,7 +20,7 @@ outputs).
 **Explicit context, no thread-locals.** Spans are opened and closed with
 explicit timestamps and identifiers; request correlation rides an integer
 ``rid`` drawn from :meth:`Tracer.next_id` and carried on the
-:class:`~repro.serve.queueing.Request` itself — through collapse chains,
+:class:`~repro.serve.queueing.Request` itself — through collapsed twins,
 eviction, and adoption by another replica — so parentage survives fleet
 re-homing without any ambient state.
 

@@ -48,6 +48,21 @@ Beyond batching, the engine layers on what a front-end needs:
   request collapsing** (concurrent duplicates share one execution);
 * a **metrics registry** (:mod:`.metrics`) exported via :meth:`stats`.
 
+Request lifecycle
+-----------------
+Every submitted image becomes a :class:`~repro.serve.queueing.Request`.
+A fresh one reserves its digest in the in-flight table and is queued; a
+duplicate of an in-flight request becomes one of its ``twins`` and is
+never queued; a cached payload is answered at once. A request ends in one
+of four outcomes, each closing its trace interval: ``done`` (its batch
+ran), ``cache_hit``, ``failed`` (its batch raised, the batcher died, its
+admission was refused, or a killed replica's backlog found no survivor)
+or ``cancelled``. All of them go through one method, ``_finish``: it
+drops the reservation, resolves the request and every twin riding on it,
+records latency for results and closes the intervals. A request evicted
+from a killed replica does not end: it moves, twins and all, to the
+replica that adopts it.
+
 Drive modes: :meth:`start` spawns a daemon batcher thread against the real
 clock; alternatively a *simulated* clock plus a
 :class:`~repro.serve.loadgen.ServiceModel` lets :mod:`.loadgen` drive
@@ -75,6 +90,9 @@ from .predictor import class_map
 from .queueing import DEFAULT_LANES, EngineOverloaded, FairQueue, Request
 
 __all__ = ["EngineConfig", "InferenceEngine", "BatchReport"]
+
+_DEAD_BATCHER = ("engine batcher thread is dead; stop() and start() the "
+                 "engine again")
 
 
 def _trace_digest(key) -> Optional[str]:
@@ -179,10 +197,10 @@ class InferenceEngine:
         self._results = (LRU(cfg.result_cache_items)
                          if cfg.result_cache_items > 0 else None)
         self._inflight: Dict[Hashable, Request] = {}
-        self._collapsed: Dict[int, List] = {}     # id(req) -> [(submit_t, fut)]
         self._ewma_batch_s: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
         self._running = False
+        self._dead = False     # set by a dying batcher, under the lock
         # Tracing (repro.obs): normalized to None when absent or disabled,
         # so every hot-path site is one attribute test. The tracer is
         # pushed down to the predictor so the shared work-graph scheduler
@@ -218,75 +236,104 @@ class InferenceEngine:
         batches_ahead = math.ceil((len(self._queue) + 1) / self.config.max_batch)
         return batches_ahead * per_batch
 
+    def _open(self, lane: str, now: float, digest: Optional[Hashable],
+              kind: str) -> Request:
+        """A new request, its trace interval opened (``kind`` names how it
+        is served: ``fresh``, ``collapsed`` or ``cache_hit``)."""
+        req = Request(seq=None, bucket=-1, lane=lane, submit_t=now,
+                      key=digest)
+        if self.tracer is not None:
+            req.rid = self.tracer.next_id()
+            self.tracer.async_begin(
+                "request", self.trace_label, now, req.rid, tid=lane,
+                args={"rid": req.rid, "lane": lane,
+                      "digest": _trace_digest(digest), "kind": kind})
+        return req
+
+    def _finish(self, req: Request, at: float, outcome: str,
+                value: Optional[np.ndarray] = None,
+                exc: Optional[BaseException] = None) -> int:
+        """End ``req`` and its twins at ``at``: the one place a request ends.
+
+        Drops the in-flight reservation and takes the twins in one locked
+        section, so no twin can chain on after. Then resolves every future
+        with ``value`` (twins get private copies: they belong to independent
+        clients who may post-process in place) and records its latency, or
+        fails it with ``exc``, or cancels it when neither is given; and
+        closes every trace interval with ``outcome``. Returns the number
+        of requests ended.
+        """
+        with self._cond:
+            if req.key is not None and self._inflight.get(req.key) is req:
+                del self._inflight[req.key]
+            twins, req.twins = req.twins, []
+        for r in [req] + twins:
+            if value is not None:
+                r.future.set_result(value if r is req else value.copy())
+                # on the real clock a twin can chain on after its batch
+                # stamped ``at``: it waited for nothing, not negative time
+                # (which the histogram rejects, stranding the batch)
+                latency = max(at - r.submit_t, 0.0)
+                self.metrics.observe("latency", latency)
+                self.metrics.observe(f"latency.{r.lane}", latency)
+            elif exc is not None:
+                r.future.set_exception(exc)
+            else:
+                r.future.cancel()
+            if self.tracer is not None and r.rid:
+                self.tracer.async_end("request", self.trace_label, at, r.rid,
+                                      tid=r.lane, args={"outcome": outcome})
+        return 1 + len(twins)
+
     def _admit(self, images: Sequence[np.ndarray], lane: str) -> List[Future]:
         """Cache-check, preprocess, and atomically enqueue a group of images.
 
         Fresh requests are registered in the in-flight table as
         *reservations* before preprocessing starts, so a concurrent
         duplicate submission (or a repeated payload later in this very
-        group) collapses onto them instead of racing to a second
+        group) collapses onto them as a twin instead of racing to a second
         execution. APF preprocessing itself runs on the *caller's* thread
         (through the pipeline's lock-protected LRU), keeping the batcher
         thread on the model hot path only. Admission is all-or-nothing: on
-        overflow every reservation, collapse registration, and metric of
-        this call is rolled back and any twin futures chained onto the
-        rejected reservations fail with the same :class:`EngineOverloaded`.
+        overflow every reservation and twin of this call is rolled back
+        (see :meth:`_rollback`) and the call raises
+        :class:`EngineOverloaded`; a batcher that died meanwhile makes it
+        roll back the same way and raise ``RuntimeError``.
         """
         if lane not in self.config.lanes:    # validate even on cache hits
             raise ValueError(f"unknown lane {lane!r}; "
                              f"configured: {sorted(self.config.lanes)}")
-        if self._thread is not None and not self._thread.is_alive():
-            # started, but the batcher died: nothing would resolve a future
-            raise RuntimeError("engine batcher thread is dead; stop() and "
-                               "start() the engine again")
+        if self._dead:
+            raise RuntimeError(_DEAD_BATCHER)
         now = self.clock()
-        futures: List[Future] = []
+        futures: List[Optional[Future]] = []
         fresh: List[Request] = []
         fresh_images: List[np.ndarray] = []
         hits: Dict[int, np.ndarray] = {}
-        chained: List[tuple] = []    # (id(primary), entry) made by THIS call
+        chained: List[tuple] = []    # (primary, twin) made by THIS call
         cache = self._results
         # hash outside the lock: digests depend only on the payloads, and
         # holding the condition while hashing S slices would stall the
         # batcher thread for the whole volume
         digests = [_digest(image) if cache is not None else None
                    for image in images]
-        tracer = self.tracer
-        track = self.trace_label
         with self._cond:
             for i, image in enumerate(images):
                 digest = digests[i]
                 cached = cache.get(digest) if digest is not None else None
                 if cached is not None:
                     hits[i] = cached
-                    futures.append(Future())
+                    futures.append(None)    # opened once admission holds
                     continue
                 primary = (self._inflight.get(digest)
                            if digest is not None else None)
                 if primary is not None:            # collapse onto in-flight twin
-                    fut = Future()
-                    rid = 0
-                    if tracer is not None:
-                        rid = tracer.next_id()
-                        tracer.async_begin(
-                            "request", track, now, rid, tid=lane,
-                            args={"rid": rid, "lane": lane,
-                                  "digest": _trace_digest(digest),
-                                  "kind": "collapsed"})
-                    entry = (now, lane, fut, rid)
-                    self._collapsed.setdefault(id(primary), []).append(entry)
-                    chained.append((id(primary), entry))
-                    futures.append(fut)
+                    twin = self._open(lane, now, digest, "collapsed")
+                    primary.twins.append(twin)
+                    chained.append((primary, twin))
+                    futures.append(twin.future)
                     continue
-                req = Request(seq=None, bucket=-1, lane=lane, submit_t=now,
-                              key=digest)
-                if tracer is not None:
-                    req.rid = tracer.next_id()
-                    tracer.async_begin(
-                        "request", track, now, req.rid, tid=lane,
-                        args={"rid": req.rid, "lane": lane,
-                              "digest": _trace_digest(digest),
-                              "kind": "fresh"})
+                req = self._open(lane, now, digest, "fresh")
                 if digest is not None:
                     self._inflight[digest] = req   # reservation for twins
                 fresh.append(req)
@@ -306,17 +353,21 @@ class InferenceEngine:
                     req.bucket = self.scheduler.bucket_length(len(seq))
         except BaseException as exc:
             with self._cond:
-                self._rollback(fresh, exc, chained)
+                self._rollback(fresh, chained, exc)
             raise
         with self._cond:
             try:
+                if self._dead:    # the batcher died while we preprocessed
+                    raise RuntimeError(_DEAD_BATCHER)
                 self._queue.push_all(fresh, retry_after=self.retry_after_hint())
-            except EngineOverloaded as exc:
-                rejected = self._rollback(fresh, exc, chained)
-                self.metrics.inc("rejected", rejected)
-                if tracer is not None:
-                    tracer.instant("req.reject", track, now, tid=lane,
-                                   args={"count": rejected, "lane": lane})
+            except RuntimeError as exc:    # EngineOverloaded is one too
+                ended = self._rollback(fresh, chained, exc)
+                if isinstance(exc, EngineOverloaded):
+                    self.metrics.inc("rejected", ended)
+                    if self.tracer is not None:
+                        self.tracer.instant(
+                            "req.reject", self.trace_label, now, tid=lane,
+                            args={"count": ended, "lane": lane})
                 raise
             self.metrics.inc("submitted", len(images))
             self.metrics.inc("cache_hits", len(hits))
@@ -324,65 +375,33 @@ class InferenceEngine:
             self.metrics.gauge("queue_depth").set(len(self._queue))
             self._cond.notify_all()
         for i, value in hits.items():
-            self.metrics.observe("latency", 0.0)
-            self.metrics.observe(f"latency.{lane}", 0.0)
-            if tracer is not None:
-                rid = tracer.next_id()
-                tracer.async_begin("request", track, now, rid, tid=lane,
-                                   args={"rid": rid, "lane": lane,
-                                         "digest": _trace_digest(digests[i]),
-                                         "kind": "cache_hit"})
-                tracer.async_end("request", track, now, rid, tid=lane,
-                                 args={"outcome": "cache_hit"})
+            req = self._open(lane, now, digests[i], "cache_hit")
+            futures[i] = req.future
             # writable private copy, same contract as fresh results and
             # collapsed twins (the frozen original stays in the cache)
-            futures[i].set_result(value.copy())
+            self._finish(req, now, "cache_hit", value.copy())
         return futures
 
-    def _rollback(self, fresh: List[Request], exc: BaseException,
-                  chained: Sequence[tuple] = ()) -> int:
-        """Undo reservations for a failed admission or batch (caller holds
-        the lock); twin futures chained onto them fail with ``exc``. Returns
-        the number of requests torn down.
+    def _rollback(self, fresh: List[Request], chained: Sequence[tuple],
+                  exc: BaseException) -> int:
+        """Fail a refused admission (caller holds the lock); returns the
+        number of requests ended.
 
-        ``chained`` lists the ``(id(primary), entry)`` collapse
-        registrations *this* admission made, including those riding
-        primaries submitted by earlier calls. Admission is all-or-nothing,
-        so these must be unchained too — otherwise a rejected volume
-        leaves phantom twin futures on a foreign in-flight request, which
-        later resolve into thin air (double-counted latency, wasted result
+        Ends the call's fresh requests with every twin riding them, then
+        the twins it chained onto primaries of earlier calls. Admission is
+        all-or-nothing, so those must go too — otherwise a rejected volume
+        leaves phantom twins on a foreign in-flight request, which later
+        resolve into thin air (double-counted latency, wasted result
         copies, and an accounting drift the streaming runner's
         retry-on-overload loop compounds every retry).
         """
-        n = len(fresh)
-        tracer = self.tracer
-        now = self.clock() if tracer is not None else 0.0
-        for req in fresh:
-            if req.key is not None and self._inflight.get(req.key) is req:
-                del self._inflight[req.key]
-            if tracer is not None and req.rid:
-                tracer.async_end("request", self.trace_label, now, req.rid,
-                                 tid=req.lane, args={"outcome": "failed"})
-            for _, twin_lane, fut, rid in self._collapsed.pop(id(req), []):
-                fut.set_exception(exc)
-                if tracer is not None and rid:
-                    tracer.async_end("request", self.trace_label, now, rid,
-                                     tid=twin_lane,
-                                     args={"outcome": "failed"})
-                n += 1
-        for primary_id, entry in chained:
-            entries = self._collapsed.get(primary_id)
-            if entries is None or entry not in entries:
-                continue           # already torn down with a fresh primary
-            entries.remove(entry)
-            if not entries:
-                del self._collapsed[primary_id]
-            entry[2].set_exception(exc)
-            if tracer is not None and entry[3]:
-                tracer.async_end("request", self.trace_label, now, entry[3],
-                                 tid=entry[1], args={"outcome": "failed"})
-            n += 1
-        return n
+        at = self.clock()
+        ended = sum(self._finish(req, at, "failed", exc=exc) for req in fresh)
+        for primary, twin in chained:
+            if twin in primary.twins:    # else it ended with a fresh primary
+                primary.twins.remove(twin)
+                ended += self._finish(twin, at, "failed", exc=exc)
+        return ended
 
     def submit(self, image: np.ndarray, *, lane: str = "interactive") -> Future:
         """Enqueue one image/volume-slice; resolves to its probability map.
@@ -432,15 +451,11 @@ class InferenceEngine:
 
     # -- execution ---------------------------------------------------------
     def _fail(self, reqs: List[Request], exc: BaseException) -> None:
-        """Fail requests through the admission teardown: drop the
-        reservations (or every later identical payload would collapse onto
-        a dead primary and hang), fail the collapsed twins, and close the
-        trace intervals — then resolve the primaries too."""
-        with self._cond:
-            failed = self._rollback(reqs, exc)
-        for r in reqs:
-            r.future.set_exception(exc)
-        self.metrics.inc("failed", failed)
+        """End ``reqs`` and their twins with ``exc``, counted as ``failed``:
+        a failed batch, a dying batcher, or a backlog no survivor adopted."""
+        at = self.clock()
+        self.metrics.inc("failed", sum(self._finish(r, at, "failed", exc=exc)
+                                       for r in reqs))
 
     def _run(self, batch: List[Request], started: float) -> BatchReport:
         t0 = time.perf_counter()
@@ -458,10 +473,6 @@ class InferenceEngine:
         done_at = started + cost if self.service_model is not None \
             else self.clock()
         with self._cond:
-            chains = [self._collapsed.pop(id(r), []) for r in batch]
-            for r in batch:
-                if r.key is not None and self._inflight.get(r.key) is r:
-                    del self._inflight[r.key]
             for r, m in zip(batch, maps):
                 self._cache_put(r.key, m)
             ewma = self._ewma_batch_s
@@ -472,31 +483,15 @@ class InferenceEngine:
                 args={"size": len(batch), "length": length,
                       "signature": [len(batch), length],
                       "rids": [r.rid for r in batch]})
-        tracer = self.tracer
         lanes: Dict[str, int] = {}
-        for r, m, chain in zip(batch, maps, chains):
-            r.future.set_result(m)
-            self.metrics.observe("latency", done_at - r.submit_t)
-            self.metrics.observe(f"latency.{r.lane}", done_at - r.submit_t)
+        for r, m in zip(batch, maps):
+            self._finish(r, done_at, "done", m)
             # Queue wait = dispatch minus submission: the scheduling-policy
             # share of latency (service time excluded), per lane — the
             # number that shows viewport-priority actually beating FIFO.
             self.metrics.observe("queue_wait", started - r.submit_t)
             self.metrics.observe(f"queue_wait.{r.lane}", started - r.submit_t)
             lanes[r.lane] = lanes.get(r.lane, 0) + 1
-            if tracer is not None and r.rid:
-                tracer.async_end("request", self.trace_label, done_at, r.rid,
-                                 tid=r.lane, args={"outcome": "done"})
-            for sub_t, chain_lane, fut, rid in chain:
-                # private copy: twins belong to independent clients who may
-                # post-process in place (same poisoning rule as the cache)
-                fut.set_result(m.copy())
-                self.metrics.observe("latency", done_at - sub_t)
-                self.metrics.observe(f"latency.{chain_lane}", done_at - sub_t)
-                if tracer is not None and rid:
-                    tracer.async_end("request", self.trace_label, done_at,
-                                     rid, tid=chain_lane,
-                                     args={"outcome": "done"})
         self.metrics.inc("completed", len(batch))
         self.metrics.inc("batches")
         self.metrics.observe("batch_size", len(batch))
@@ -557,44 +552,36 @@ class InferenceEngine:
         (``Future.cancel``; waiters see :class:`~concurrent.futures.CancelledError`).
         """
         with self._cond:
-            waiting = self._queue.find(future)
-            if waiting is None:
-                return False
+            req = self._queue.find(future)
             # refuse while twins ride on this primary: cancelling would
             # orphan their futures (they resolve from the primary's run)
-            if self._collapsed.get(id(waiting)):
+            if req is None or req.twins:
                 return False
-            req = self._queue.remove(future)
-            if req.key is not None and self._inflight.get(req.key) is req:
-                del self._inflight[req.key]
+            self._queue.remove(future)
             self.metrics.inc("cancelled")
             self.metrics.gauge("queue_depth").set(len(self._queue))
-        if self.tracer is not None and req.rid:
             now = self.clock()
-            self.tracer.instant("req.cancel", self.trace_label, now,
-                                tid=req.lane, args={"rid": req.rid})
-            self.tracer.async_end("request", self.trace_label, now, req.rid,
-                                  tid=req.lane,
-                                  args={"outcome": "cancelled"})
-        cancelled = future.cancel()
-        if not cancelled:   # pragma: no cover - engine never starts futures
-            future.set_exception(EngineOverloaded("request cancelled"))
+            if self.tracer is not None and req.rid:
+                self.tracer.instant("req.cancel", self.trace_label, now,
+                                    tid=req.lane, args={"rid": req.rid})
+            # inside the dequeueing section: no twin may chain on meanwhile
+            self._finish(req, now, "cancelled")
         return True
 
     # -- fleet membership --------------------------------------------------
-    def evict_pending(self):
+    def evict_pending(self) -> List[Request]:
         """Remove every waiting (not yet dispatched) request for re-routing.
 
-        Returns ``(requests, chains)`` where ``chains`` maps ``id(request)``
-        to the collapsed twin futures riding on it. Reservations in the
-        in-flight table are torn down; the futures stay *unresolved* — the
-        fleet router hands both to a surviving replica's :meth:`adopt`, so
-        clients of a killed replica never observe the failure. Batches
-        already dispatched are unaffected (fail-stop between batches).
+        Returns the requests, each with its collapsed ``twins`` attached.
+        Reservations in the in-flight table are torn down; the futures stay
+        *unresolved* — the fleet router hands the requests to a surviving
+        replica's :meth:`adopt`, so clients of a killed replica never
+        observe the failure (or to this engine's ``_fail`` when no survivor
+        can take one). Batches already dispatched are unaffected
+        (fail-stop between batches).
         """
         with self._cond:
             reqs = self._queue.pop_all()
-            chains = {id(r): self._collapsed.pop(id(r), []) for r in reqs}
             for r in reqs:
                 if r.key is not None and self._inflight.get(r.key) is r:
                     del self._inflight[r.key]
@@ -606,20 +593,18 @@ class InferenceEngine:
                 if r.rid:
                     self.tracer.instant("req.evict", self.trace_label, now,
                                         tid=r.lane, args={"rid": r.rid})
-        return reqs, chains
+        return reqs
 
-    def adopt(self, requests: Sequence[Request],
-              chains: Optional[Mapping[int, List]] = None) -> None:
+    def adopt(self, requests: Sequence[Request]) -> None:
         """Enqueue already-preprocessed requests evicted from a peer replica.
 
         Admission is atomic (all or :class:`EngineOverloaded`, like
-        :meth:`submit`); the foreign requests keep their original futures
-        and ``submit_t`` — latency accounting therefore *includes* the
-        disruption of the migration. Collapsed twin chains transfer with
-        their primary. In-flight reservations are re-registered here unless
-        this engine already has a primary for the same digest (the existing
-        one wins; both executions resolve their own futures and agree on
-        the cached value).
+        :meth:`submit`); the foreign requests keep their original futures,
+        ``submit_t`` and twins — latency accounting therefore *includes*
+        the disruption of the migration. In-flight reservations are
+        re-registered here unless this engine already has a primary for the
+        same digest (the existing one wins; both executions resolve their
+        own futures and twins and agree on the cached value).
         """
         if not requests:
             return
@@ -629,9 +614,6 @@ class InferenceEngine:
             for r in requests:
                 if r.key is not None:
                     self._inflight.setdefault(r.key, r)
-                chain = (chains or {}).get(id(r))
-                if chain:
-                    self._collapsed.setdefault(id(r), []).extend(chain)
             self.metrics.inc("adopted", len(requests))
             self.metrics.gauge("queue_depth").set(len(self._queue))
             self._cond.notify_all()
@@ -666,6 +648,7 @@ class InferenceEngine:
         if warmup:
             self.warmup()
         self._running = True
+        self._dead = False
         self._thread = threading.Thread(target=self._loop,
                                         name="repro-engine-batcher",
                                         daemon=True)
@@ -713,6 +696,7 @@ class InferenceEngine:
             # the batcher is dying: nothing else would resolve the requests
             # still waiting behind the failed batch, so fail them with it
             with self._cond:
+                self._dead = True     # admissions still preprocessing see it
                 waiting = self._queue.pop_all()
                 self.metrics.gauge("queue_depth").set(0)
             self._fail(waiting, exc)

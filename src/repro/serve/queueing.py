@@ -67,9 +67,14 @@ class EngineOverloaded(RuntimeError):
         self.retry_after = float(retry_after)
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One queued unit of inference work (a single image or volume slice)."""
+    """One unit of inference work (a single image or volume slice).
+
+    A queued request may carry ``twins``: requests for the same payload
+    that collapsed onto it while it was in flight. A twin is never queued;
+    it ends with its primary. Requests compare by identity.
+    """
 
     seq: object                       #: natural (pre-drop) patch sequence
     bucket: int                       #: padded length assigned by the Predictor
@@ -80,6 +85,7 @@ class Request:
     vtime: float = 0.0                #: fair-queueing virtual timestamp
     seqno: int = 0                    #: arrival tiebreak (monotonic)
     rid: int = 0                      #: trace request id (0 = untraced)
+    twins: List["Request"] = field(default_factory=list)
 
 
 class FairQueue:

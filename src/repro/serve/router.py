@@ -317,11 +317,14 @@ class FleetRouter:
         """Fail-stop replica ``rank`` and re-home its backlog (re-hash spill).
 
         Models a crash between batches: results already computed stand,
-        the waiting queue is evicted with futures intact and re-routed by
-        rendezvous re-hash over the survivors. Requests whose digest is
-        unknown (caching off) round-robin over the survivors. Returns the
-        number of re-homed requests; their futures only fail if *every*
-        surviving replica is at capacity (counted as ``reroute_failed``).
+        the waiting queue is evicted with futures (and collapsed twins)
+        intact and re-routed by rendezvous re-hash over the survivors.
+        Requests whose digest is unknown (caching off) round-robin over the
+        survivors. Returns the number of re-homed requests. A request every
+        surviving replica refuses (all at capacity) fails with its twins
+        through the dead replica's engine: it counts as ``reroute_failed``
+        here and, twins included, as ``failed`` in that replica's metrics,
+        and its trace intervals close on that replica's track.
         """
         replica = self._replica(rank)
         if replica.state == REPLICA_DOWN:
@@ -331,43 +334,27 @@ class FleetRouter:
         tracer = self.tracer
         if tracer is not None:
             tracer.instant("kill", "router", args={"rank": rank})
-        orphans, chains = replica.engine.evict_pending()
         rerouted = 0
-        for req in orphans:
+        for req in replica.engine.evict_pending():
             targets = (self.preference(req.key) if req.key is not None
                        else self.live_ranks())
-            adopted = False
             for target in targets:
                 try:
-                    self.replicas[target].engine.adopt(
-                        [req], {id(req): chains.get(id(req), [])})
+                    self.replicas[target].engine.adopt([req])
                 except EngineOverloaded:
                     continue
                 self.replicas[target].adopted += 1
-                adopted = True
+                rerouted += 1
                 if tracer is not None:
                     tracer.instant("reroute", "router",
                                    args={"rid": req.rid, "from": rank,
                                          "to": target})
                 break
-            if adopted:
-                rerouted += 1
-                continue
-            exc = EngineOverloaded(
-                f"replica {rank} died and no survivor could adopt its "
-                "backlog", retry_after=0.0)
-            self.metrics.inc("reroute_failed")
-            req.future.set_exception(exc)
-            if tracer is not None and req.rid:
-                tracer.async_end("request", "router", tracer.clock(),
-                                 req.rid, tid=req.lane,
-                                 args={"outcome": "failed"})
-            for _, twin_lane, fut, crid in chains.get(id(req), []):
-                fut.set_exception(exc)
-                if tracer is not None and crid:
-                    tracer.async_end("request", "router", tracer.clock(),
-                                     crid, tid=twin_lane,
-                                     args={"outcome": "failed"})
+            else:
+                self.metrics.inc("reroute_failed")
+                replica.engine._fail([req], EngineOverloaded(
+                    f"replica {rank} died and no survivor could adopt its "
+                    "backlog", retry_after=0.0))
         self.metrics.inc("rerouted", rerouted)
         return rerouted
 

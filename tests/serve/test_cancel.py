@@ -11,6 +11,8 @@ from repro.serve import (InferenceEngine, Predictor, ServiceModel, SimClock,
                          build_fleet)
 from repro.serve.queueing import FairQueue, Request
 
+from .conftest import assert_quiescent
+
 
 def _model(**kw):
     args = dict(patch_size=4, channels=1, dim=16, depth=1, heads=2,
@@ -88,6 +90,7 @@ class TestEngineCancel:
         assert fut.cancelled()
         assert engine.pending == 0
         assert engine.stats()["engine"].get("cancelled") == 1
+        assert_quiescent(engine)
 
     def test_cancel_resolved_request_is_false(self):
         engine, _ = _sim_engine(_predictor(_model()))
@@ -114,6 +117,7 @@ class TestEngineCancel:
         assert engine.cancel(primary) is False
         engine.drain()
         np.testing.assert_array_equal(primary.result(), twin.result())
+        assert_quiescent(engine)
 
     def test_cancel_releases_inflight_reservation(self):
         # After cancelling, an identical resubmission must execute fresh
@@ -127,6 +131,7 @@ class TestEngineCancel:
         engine.drain()
         ref = _predictor(model).predict_image(img, key=0)
         np.testing.assert_array_equal(fresh.result(), ref)
+        assert_quiescent(engine)
 
     def test_cancel_frees_queue_capacity(self):
         engine, _ = _sim_engine(_predictor(_model()), max_queue=2)
@@ -138,6 +143,7 @@ class TestEngineCancel:
         fut = engine.submit(imgs[2])          # slot actually freed
         engine.drain()
         assert fut.done()
+        assert_quiescent(engine)
 
     def test_cancelled_request_never_runs(self):
         engine, _ = _sim_engine(_predictor(_model()))

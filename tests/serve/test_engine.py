@@ -1,6 +1,7 @@
 """Tests for the async InferenceEngine — bit-identity, caching, lanes,
 admission control, warmup, and the threaded batcher."""
 
+import sys
 import threading
 import time
 
@@ -16,6 +17,8 @@ from repro.pipeline import PatchPipeline
 from repro.serve import (EngineOverloaded, InferenceEngine, Predictor,
                          ServiceModel, SimClock)
 from repro.train.tasks import prepare_image
+
+from .conftest import assert_quiescent
 
 settings.register_profile("engine", max_examples=8, deadline=None)
 settings.load_profile("engine")
@@ -203,6 +206,7 @@ class TestAdmissionControl:
         assert s["engine"]["rejected"] == 3
         assert s["result_cache"]["inflight"] == 0
         assert s["queue"]["total"] == 0
+        assert_quiescent(engine)
 
     def test_rejected_volume_unchains_twins_from_foreign_primaries(self):
         # Regression: a rejected volume used to roll back only its *own*
@@ -220,13 +224,14 @@ class TestAdmissionControl:
             # 3 fresh slices then overflow (1 occupied + 3 > 3 slots)
             engine.submit_volume(np.stack([slices[0], slices[1],
                                            slices[2], slices[3]]))
-        assert not engine._collapsed             # no phantom twins left
+        assert engine._queue.find(primary).twins == []   # no phantom twins
         s = engine.stats()
         assert s["engine"]["rejected"] == 4      # 3 fresh + 1 chained twin
         assert s["engine"].get("collapsed", 0) == 0
         engine.drain()                           # the foreign primary is
         assert primary.result() is not None      # untouched and completes
         assert engine.stats()["engine"]["completed"] == 1
+        assert_quiescent(engine)
 
 
 class TestVolumePath:
@@ -433,6 +438,47 @@ class TestThreadedEngine:
         assert engine.stats()["engine"]["completed"] + \
             engine.stats()["engine"].get("cache_hits", 0) == len(imgs)
 
+    def test_duplicate_storm_ends_every_request(self):
+        # clients race duplicate payloads and cancels against the batcher
+        # (tiny cache, so payloads run again and collapse again): a twin
+        # chained onto a request that is ending would never resolve
+        imgs = _images(3)
+        engine = InferenceEngine(_predictor(_model(), max_batch=4, bucket=16),
+                                 flush_deadline=0.001, max_queue=256,
+                                 result_cache_items=1)
+        futs, lock = [], threading.Lock()
+
+        def client(c):
+            for k in range(12):
+                fut = engine.submit(imgs[(c + k) % len(imgs)])
+                if k % 3 == 0:
+                    engine.cancel(fut)
+                with lock:
+                    futs.append(fut)
+
+        threads = [threading.Thread(target=client, args=(c,))
+                   for c in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        engine.start(warmup=False)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            for fut in futs:
+                if not fut.cancelled():
+                    assert fut.result(timeout=60).shape == (1, 64, 64)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.stop()
+        assert_quiescent(engine)
+        s = engine.stats()["engine"]
+        ended = (s["completed"] + s.get("cache_hits", 0)
+                 + s.get("collapsed", 0) + s.get("cancelled", 0))
+        assert ended == s["submitted"] == len(futs)
+
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_submit_after_batcher_death_raises(self, monkeypatch):
@@ -461,7 +507,7 @@ class TestThreadedEngine:
                 engine.submit_volume(np.zeros((2, 64, 64)))
             assert engine.pending == 0
             assert engine.stats()["result_cache"]["inflight"] == 0
-            assert not engine._collapsed
+            assert_quiescent(engine)
         finally:
             monkeypatch.undo()
             engine.stop()
@@ -486,7 +532,7 @@ class TestThreadedEngine:
         futs = [engine.submit(im) for im in imgs]
         futs.append(engine.submit(imgs[-1]))      # collapsed twin
         assert engine.pending == 5 > engine.config.max_batch
-        assert engine._collapsed
+        assert engine._queue.find(futs[-2]).twins     # the twin rides on it
         engine.start(warmup=False)
         try:
             engine._thread.join(timeout=60)
@@ -496,11 +542,112 @@ class TestThreadedEngine:
                        for f in futs)
             assert engine.pending == 0
             assert engine.stats()["result_cache"]["inflight"] == 0
-            assert not engine._inflight and not engine._collapsed
+            assert_quiescent(engine)
             assert engine.stats()["engine"]["failed"] == len(futs)
         finally:
             monkeypatch.undo()
             engine.stop()
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_submit_racing_batcher_death_raises(self, monkeypatch):
+        """Regression: a submit that passed the liveness check while the
+        batcher was alive, and pushes after it died, must fail instead of
+        queueing a future nothing will ever resolve."""
+
+        class Fatal(BaseException):
+            pass
+
+        def die(seqs):
+            raise Fatal("batcher killed")
+
+        imgs = _images(2)
+        pred = _predictor(_model(), max_batch=2, bucket=16)
+        engine = InferenceEngine(pred, flush_deadline=0.0)
+        monkeypatch.setattr(engine.scheduler, "execute", die)
+        real = pred._naturals
+        calls, inner = [], []
+
+        def naturals(images, keys):
+            calls.append(len(images))
+            if len(calls) == 1:
+                # the outer submit's preprocessing: meanwhile an inner
+                # submit kills the batcher, gone before the outer push
+                inner.append(engine.submit(imgs[1]))
+                engine._thread.join(timeout=60)
+                assert not engine._thread.is_alive()
+            return real(images, keys)
+
+        monkeypatch.setattr(pred, "_naturals", naturals)
+        engine.start(warmup=False)
+        try:
+            with pytest.raises(RuntimeError):
+                engine.submit(imgs[0])
+            assert isinstance(inner[0].exception(timeout=60), Fatal)
+            assert engine.pending == 0
+            assert engine.stats()["result_cache"]["inflight"] == 0
+            assert_quiescent(engine)
+        finally:
+            monkeypatch.undo()
+            engine.stop()
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_restart_after_batcher_death_serves_again(self, monkeypatch):
+        class Fatal(BaseException):
+            pass
+
+        def die(seqs):
+            raise Fatal("batcher killed")
+
+        imgs = _images(2)
+        engine = InferenceEngine(_predictor(_model(), max_batch=2, bucket=16),
+                                 flush_deadline=0.0)
+        monkeypatch.setattr(engine.scheduler, "execute", die)
+        engine.start(warmup=False)
+        try:
+            first = engine.submit(imgs[0])
+            engine._thread.join(timeout=60)
+            assert isinstance(first.exception(timeout=60), Fatal)
+            with pytest.raises(RuntimeError):
+                engine.submit(imgs[1])
+            monkeypatch.undo()
+            engine.stop()
+            engine.start(warmup=False)
+            assert engine.submit(imgs[1]).result(timeout=60).shape \
+                == (1, 64, 64)
+        finally:
+            monkeypatch.undo()
+            engine.stop()
+        assert_quiescent(engine)
+
+
+    def test_twin_chained_after_completion_stamp_resolves(self, monkeypatch):
+        """Regression: on the real clock a batch stamps its completion time
+        before its requests end; a twin chaining on in between used to get
+        a negative latency, which the histogram rejects, so the batch
+        raised with the twin unresolved (and the threaded batcher swallowed
+        the error, leaving the twin's future hanging)."""
+        img = _images(1)[0]
+        t = [0.0]
+        engine = InferenceEngine(_predictor(_model()), clock=lambda: t[0])
+        real_put, late = engine._cache_put, []
+
+        def put(digest, value):
+            t[0] += 1.0                   # the twin arrives after the stamp
+            late.append(engine.submit(img))
+            real_put(digest, value)
+
+        monkeypatch.setattr(engine, "_cache_put", put)
+        first = engine.submit(img)
+        t[0] = 0.5
+        engine.step(force=True)
+        np.testing.assert_array_equal(late[0].result(timeout=0),
+                                      first.result(timeout=0))
+        latency = engine.stats()["engine"]["latency"]
+        assert (latency["count"], latency["min"], latency["max"]) \
+            == (2, 0.0, 0.5)
+        assert_quiescent(engine)
 
 
 def _fail_first_execute(engine, monkeypatch):
@@ -537,6 +684,7 @@ class TestFailedBatch:
         again = engine.submit(img)              # not chained to a dead primary
         engine.drain()
         assert again.result(timeout=0).shape == (1, 64, 64)
+        assert_quiescent(engine)
 
     def test_threaded_batcher_survives(self, monkeypatch):
         img = _images(1)[0]
@@ -552,6 +700,7 @@ class TestFailedBatch:
         finally:
             engine.stop()
         assert engine.stats()["result_cache"]["inflight"] == 0
+        assert_quiescent(engine)
 
 
 class TestObservabilityGauges:
@@ -607,14 +756,15 @@ class TestEvictAdopt:
         engine, _ = _sim_engine(_predictor(_model()), result_cache_items=8)
         imgs = _images(4)
         futs = [engine.submit(im) for im in imgs]
-        reqs, chains = engine.evict_pending()
+        reqs = engine.evict_pending()
         assert len(reqs) == 4
         assert engine.pending == 0
         assert all(not f.done() for f in futs)          # unresolved, not failed
         assert engine.metrics.counter("evicted").value == 4
-        assert all(chains[id(r)] == [] for r in reqs)
+        assert all(r.twins == [] for r in reqs)
         # reservations are gone: resubmitting the payload starts fresh
         assert engine.stats()["result_cache"]["inflight"] == 0
+        assert_quiescent(engine)
 
     def test_adopt_runs_foreign_requests_to_completion(self):
         model = _model()
@@ -622,14 +772,16 @@ class TestEvictAdopt:
         dst, _ = _sim_engine(_predictor(model), result_cache_items=8)
         imgs = _images(3)
         futs = [src.submit(im) for im in imgs]
-        reqs, chains = src.evict_pending()
-        dst.adopt(reqs, chains)
+        reqs = src.evict_pending()
+        dst.adopt(reqs)
         assert dst.pending == 3
         assert dst.metrics.counter("adopted").value == 3
         dst.drain()
         ref = _predictor(model).predict_batch(imgs)
         for fut, r in zip(futs, ref):
             np.testing.assert_array_equal(fut.result(), r)
+        assert_quiescent(src)
+        assert_quiescent(dst)
 
     def test_adopt_transfers_collapsed_twins(self):
         model = _model()
@@ -638,16 +790,18 @@ class TestEvictAdopt:
         img = _images(1)[0]
         first = src.submit(img)
         twin = src.submit(img)             # collapses onto first, not queued
-        reqs, chains = src.evict_pending()
+        reqs = src.evict_pending()
         assert len(reqs) == 1
-        assert len(chains[id(reqs[0])]) == 1
-        dst.adopt(reqs, chains)
+        assert len(reqs[0].twins) == 1
+        dst.adopt(reqs)
         dst.drain()
         np.testing.assert_array_equal(first.result(), twin.result())
         # a later duplicate on the adoptive engine hits its cache
         third = dst.submit(img)
         assert third.done()
         assert dst.metrics.counter("cache_hits").value == 1
+        assert_quiescent(src)
+        assert_quiescent(dst)
 
     def test_adopt_is_atomic_on_overflow(self):
         model = _model()
@@ -655,11 +809,12 @@ class TestEvictAdopt:
         dst, _ = _sim_engine(_predictor(model), max_queue=2)
         for im in _images(4):
             src.submit(im)
-        reqs, chains = src.evict_pending()
+        reqs = src.evict_pending()
         with pytest.raises(EngineOverloaded):
-            dst.adopt(reqs, chains)
+            dst.adopt(reqs)
         assert dst.pending == 0            # nothing partially admitted
         assert all(not r.future.done() for r in reqs)
+        assert_quiescent(dst)
 
     def test_adopt_nothing_is_noop(self):
         engine, _ = _sim_engine(_predictor(_model()))

@@ -6,11 +6,13 @@ import pytest
 from repro.data import SyntheticPAIP
 from repro.distributed import SimCluster
 from repro.models.vit import ViTSegmenter
+from repro.obs import Tracer, chrome_trace, validate_trace
 from repro.pipeline import PatchPipeline
 from repro.pipeline.engine import content_key
 from repro.serve import (REPLICA_DOWN, REPLICA_DRAINING, REPLICA_UP,
                          EngineOverloaded, FleetRouter, InferenceEngine,
-                         Predictor, ServiceModel, SimClock, rendezvous_order)
+                         Predictor, ServiceModel, SimClock, build_fleet,
+                         rendezvous_order)
 
 N_IMAGES = 8
 
@@ -256,6 +258,32 @@ class TestKillRehoming:
         assert isinstance(fut.exception(), EngineOverloaded)
         with pytest.raises(EngineOverloaded):
             router.submit(_images(1)[0])
+
+
+    def test_reroute_failure_fails_twins_on_the_dead_track(self):
+        clock = SimClock()
+        tracer = Tracer(clock=clock.now)
+        pipe = PatchPipeline(patch_size=4, split_value=8.0, channels=1,
+                             cache_items=32)
+        router = build_fleet(
+            lambda rank: Predictor(_model(), pipe, max_batch=4, bucket=16),
+            replicas=1, clock=clock.now, tracer=tracer,
+            service_model=ServiceModel(), result_cache_items=16)
+        im = _images(1)[0]
+        first = router.submit(im)
+        twin = router.submit(im)            # collapses onto the in-flight first
+        assert router.kill(0) == 0
+        for fut in (first, twin):
+            assert isinstance(fut.exception(timeout=0), EngineOverloaded)
+        trace = chrome_trace(tracer)
+        assert validate_trace(trace) == []
+        ends = [e for e in tracer.events
+                if e["ph"] == "e" and e.get("cat") == "request"]
+        assert [(e["args"]["outcome"], e["track"]) for e in ends] \
+            == [("failed", "replica0")] * 2
+        stats = router.stats()
+        assert stats["router"]["reroute_failed"] == 1
+        assert stats["fleet"]["failed"] == 2
 
 
 class TestThreadedFleet:
