@@ -201,7 +201,7 @@ def test_streaming_wsi_and_regression_gate(tmp_path):
 
     # ------------------------------------------------------------------
     # Sparsity fast path: same 16K² WSI, serving-grade model, dense vs
-    # short-circuit (mode="auto", exact: only zero-detail tokens skip)
+    # short-circuit (mode="auto": only zero-detail tokens skip)
     # ------------------------------------------------------------------
     def _sparse_predictor(sparsity=None):
         model = ViTSegmenter(rng=np.random.default_rng(0),
@@ -272,7 +272,7 @@ def test_streaming_wsi_and_regression_gate(tmp_path):
         f"short-circuit speedup {sp['speedup']}x on the 16K² WSI is below "
         f"the {SPARSITY_SPEEDUP_FLOOR}x acceptance floor")
     assert sp["counters"]["plans_shortcircuit"] > 0, \
-        "the chooser never picked short-circuit on the WSI workload"
+        "no tile short-circuited on the WSI workload"
     assert sp["counters"]["tokens_skipped"] > 0
     assert sp["min_agreement"] >= SPARSITY_AGREEMENT_FLOOR, (
         f"dense/sparse class maps agree on only {sp['min_agreement']:.1%} "

@@ -1,19 +1,21 @@
-"""Token-sparsity fast path demo: per-tile sparsity stats on a WSI stream.
+"""Background short-circuit demo: per-tile sparsity stats on a WSI stream.
 
 The quadtree already measured how much detail every patch carries (the
-Eq. 6 edge mass that decided not to split it). ``repro.sparse`` stops
-discarding that signal at predict time: provably flat tokens route around
-the transformer to a digest-keyed logits table, and a calibrated cost
-model picks, per sequence, the cheapest execution plan whose predicted
-quality delta fits the budget.
+Eq. 6 edge mass that decided not to split it). ``repro.sparse`` uses that
+signal at predict time: provably flat tokens seen before route around
+the transformer to a digest-keyed logits table, and a sequence takes the
+short-circuit only when that moves it to a smaller length bucket. It is
+lossy: a table row comes from another position and context.
 
 This demo streams the same virtual slide twice — dense, then with the
-short-circuit enabled — and prints, per macro-tile, what the chooser did
-(plan, tokens skipped, cache traffic) plus the end-to-end speedup and the
-dense-vs-sparse class-map agreement.
+short-circuit enabled — and prints, per macro-tile, what the runtime did
+(plan, tokens removed from the forward, table seeds) plus the end-to-end
+speedup and the dense-vs-sparse class-map agreement.
 
 Run:  PYTHONPATH=src python examples/sparse_wsi.py
 """
+
+import time
 
 import numpy as np
 
@@ -53,18 +55,16 @@ def main():
           f"({RES * RES / dense.seconds / 1e6:.2f} Mpx/s)")
 
     # -- pass 2: short-circuit enabled ---------------------------------
-    predictor = make_predictor(SparsityConfig(mode="auto"))
+    predictor = make_predictor(SparsityConfig())
     rt = predictor.sparsity
     sparse_sink = MemorySink()
-    runner = StreamingRunner(predictor)
 
     print("\nper-tile sparsity decisions:")
     header = f"{'tile':<22}{'plan':<14}{'tokens':>7}{'removed':>9}{'seeds':>8}"
     print(header + "\n" + "-" * len(header))
     t_total = 0.0
-    import time
     for tile in plan.tiles:
-        before = {k: v for k, v in rt.stats.items() if isinstance(v, int)}
+        seeds_before = rt.stats["table_seeds"]
         t0 = time.perf_counter()
         region = source.read_region(tile.origin, tile.size)
         node = predictor.scheduler.tile_node(region, "image")
@@ -72,11 +72,9 @@ def main():
         t_total += time.perf_counter() - t0
         sparse_sink.write(tile, predictor.scheduler.reduce_tile(node))
         d = rt.stats["last_decision"]
-        plan_name = ("memo-replay" if rt.stats["memo_hits"]
-                     > before.get("memo_hits", 0) else d["plan"])
-        print(f"{tile.name:<22}{plan_name:<14}"
-              f"{d['n_tokens']:>7}{d['n_background']:>9}"
-              f"{rt.stats['table_seeds'] - before.get('table_seeds', 0):>8}")
+        print(f"{tile.name:<22}{d['plan']:<14}"
+              f"{d['n_tokens']:>7}{d['n_removed']:>9}"
+              f"{rt.stats['table_seeds'] - seeds_before:>8}")
 
     print(f"\nsparse: {t_total:6.2f}s "
           f"({RES * RES / t_total / 1e6:.2f} Mpx/s)  "

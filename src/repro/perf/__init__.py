@@ -7,8 +7,8 @@ from .costmodel import ClusterSpec, CostModel
 from .equivalence import (apf_length_curve, equal_cost_patch_size,
                           equivalent_sequence_gain)
 from .flops import (TransformerConfig, activation_bytes, attention_flops,
-                    attention_memory_bytes, encoder_flops, inference_flops,
-                    kernel_cost, training_flops)
+                    attention_memory_bytes, encoder_flops, kernel_cost,
+                    training_flops)
 from .memory import TracedMemory, current_rss_bytes, peak_rss_bytes
 from .serving import (batching_speedup_bound, engine_capacity,
                       fleet_capacity, fleet_scaling_bound, replicas_for_rate,
@@ -16,7 +16,7 @@ from .serving import (batching_speedup_bound, engine_capacity,
 
 __all__ = [
     "TransformerConfig", "attention_flops", "encoder_flops", "training_flops",
-    "inference_flops", "activation_bytes", "attention_memory_bytes",
+    "activation_bytes", "attention_memory_bytes",
     "kernel_cost",
     "ClusterSpec", "CostModel",
     "apf_length_curve", "equal_cost_patch_size", "equivalent_sequence_gain",

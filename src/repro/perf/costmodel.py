@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flops import TransformerConfig, inference_flops, training_flops
+from .flops import TransformerConfig, training_flops
 
 __all__ = ["ClusterSpec", "CostModel"]
 
@@ -73,23 +73,6 @@ class CostModel:
         effects enter only through :meth:`allreduce_seconds`.)
         """
         return training_flops(cfg) / self.spec.achieved_flops
-
-    def inference_seconds(self, cfg: TransformerConfig) -> float:
-        """Forward-only seconds for one sequence of ``cfg.seq_len`` tokens.
-
-        The unit the sparsity plan chooser ranks candidate plans by; calibrate
-        with :meth:`calibrate_inference` against a measured forward so the
-        comparison inherits the substrate's real constant factor.
-        """
-        return inference_flops(cfg) / self.spec.achieved_flops
-
-    def calibrate_inference(self, cfg: TransformerConfig,
-                            measured_seconds: float) -> float:
-        """Fit ``achieved_flops`` from a measured forward pass (stored)."""
-        if measured_seconds <= 0:
-            raise ValueError("measured time must be positive")
-        self.spec.achieved_flops = inference_flops(cfg) / measured_seconds
-        return self.spec.achieved_flops
 
     def allreduce_seconds(self, nbytes: float, world_size: int) -> float:
         """Ring all-reduce time: ``2(W-1)/W * bytes * beta + 2(W-1) * alpha``.

@@ -1,10 +1,12 @@
-"""Analytic FLOP and memory models for transformer training.
+"""Analytic FLOP and memory models for transformers.
 
-These formulas drive the cost model that projects measured laptop-scale runs
-to the paper's Frontier scales (Table II/III sec/image columns). They are the
-standard dense-transformer counts; the important structural fact is the
-``4 L^2 D`` attention term — quadratic in sequence length — which is exactly
-what APF's sequence reduction attacks.
+The whole-model counts drive the training cost model that projects
+measured laptop-scale runs to the paper's Frontier scales (Table II/III
+sec/image columns). They are the standard dense-transformer counts; the
+important structural fact is the ``4 L^2 D`` attention term — quadratic
+in sequence length — which is exactly what APF's sequence reduction
+attacks. :func:`kernel_cost` is the per-step counterpart the kernel
+profiler divides measured seconds into.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import prod
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["TransformerConfig", "encoder_flops", "attention_flops",
-           "training_flops", "inference_flops", "activation_bytes",
+           "training_flops", "activation_bytes",
            "attention_memory_bytes", "kernel_cost"]
 
 
@@ -48,13 +50,6 @@ def encoder_flops(cfg: TransformerConfig) -> float:
 def training_flops(cfg: TransformerConfig) -> float:
     """Training step ≈ 3x forward (forward + 2x backward)."""
     return 3.0 * encoder_flops(cfg)
-
-
-def inference_flops(cfg: TransformerConfig) -> float:
-    """Forward-only FLOPs for one sequence — the unit the sparsity plan
-    chooser compares: dense vs. short-circuit vs. merged plans differ only
-    in the effective ``seq_len`` this is evaluated at."""
-    return encoder_flops(cfg)
 
 
 def attention_memory_bytes(cfg: TransformerConfig, bytes_per_el: int = 4) -> float:

@@ -68,9 +68,12 @@ class Predictor:
         bit-compared against.
     sparsity:
         Optional :class:`~repro.sparse.SparsityConfig` enabling the
-        token-sparsity fast path (memo replay, background short-circuit,
-        token merging — steered by the cost-model plan chooser). ``None``
-        (default) leaves the dense path byte-for-byte untouched.
+        background short-circuit: flat tokens seen before read their
+        logits from a table instead of running, whenever that moves the
+        sequence to a smaller length bucket. Lossy (a table row comes
+        from another position and context); ``mode="dense"`` runs
+        everything dense, bitwise equal to no sparsity. ``None``
+        (default) turns it off.
         Decisions and cache traffic surface as ``stats["sparsity"]``.
 
     Examples
@@ -106,7 +109,7 @@ class Predictor:
                       "real_tokens": 0}
         self.scheduler = WorkGraphScheduler(self)
         self.sparsity = None
-        if sparsity is not None and sparsity.mode != "off":
+        if sparsity is not None:
             self.sparsity = SparseRuntime(self, sparsity)
             self.stats["sparsity"] = self.sparsity.stats
 

@@ -101,12 +101,13 @@ class SequenceNode:
     order: int
     result: Optional[np.ndarray] = None
     done: bool = False
-    #: Sparse execution plan (``repro.sparse.SparsePlan``) when the
+    #: Short-circuit plan (``repro.sparse.SparsePlan``) when the
     #: sparsity runtime reduced this node — ``seq`` is then the *reduced*
     #: sequence and the plan holds the full one plus the row map back.
     sparse: Optional[object] = None
-    #: Exact-byte sequence digest for memo population (sparsity only).
-    memo_key: Optional[str] = None
+    #: ``(table key, token index)`` of the first-seen background digests
+    #: whose forward rows seed the sparsity table (sparsity only).
+    seed_keys: Optional[list] = None
 
 
 @dataclass
@@ -196,9 +197,9 @@ class WorkGraphScheduler:
         """Wrap natural sequences as graph nodes (bucketed, order-stamped).
 
         With a sparsity runtime attached, each node is offered to it
-        first: a memo replay completes the node outright, and a sparse
-        plan swaps in the reduced sequence — so the bucket (and with it
-        the micro-batch signature) reflects what actually runs.
+        first: a short-circuit swaps in the reduced sequence — so the
+        bucket (and with it the micro-batch signature) reflects what
+        actually runs.
         """
         rt = self.predictor.sparsity
         nodes = []
@@ -206,8 +207,7 @@ class WorkGraphScheduler:
             node = SequenceNode(seq=s, bucket=0, order=next(self._order))
             if rt is not None:
                 rt.prepare(node)
-            if not node.done:
-                node.bucket = self.bucket_length(len(node.seq))
+            node.bucket = self.bucket_length(len(node.seq))
             nodes.append(node)
         return nodes
 
@@ -244,8 +244,6 @@ class WorkGraphScheduler:
         mb = max_batch if max_batch is not None else self.predictor.max_batch
         groups: dict = {}
         for node in nodes:
-            if node.done:                    # memo-replayed: nothing to run
-                continue
             groups.setdefault(node.bucket, []).append(node)
         out: List[MicroBatch] = []
         for length, grp in sorted(groups.items()):
@@ -340,14 +338,11 @@ class WorkGraphScheduler:
         for node, seq, (start, n) in zip(micro.nodes, fitted, segments):
             rows_j = logits[start:start + n]
             if node.sparse is not None:
-                maps = rt.reconstruct(node, rows_j)
-                node.result = self._stitch(node.sparse.full_seq, maps)
-            else:
-                node.result = self._stitch(seq, rows_j)
-                if rt is not None:
-                    rt.seed_dense(node, rows_j)
+                rows_j = rt.reconstruct(node, rows_j)
+                seq = node.sparse.full_seq
+            node.result = self._stitch(seq, rows_j)
             if rt is not None:
-                rt.finish(node, node.result)
+                rt.seed(node, rows_j)
             node.done = True
         if tr is not None:
             tr.complete("stitch", trk, t2, tr.clock(), tid="engine",

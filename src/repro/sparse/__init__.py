@@ -1,33 +1,24 @@
-"""``repro.sparse`` — the inference-time token-sparsity fast path.
+"""``repro.sparse`` — the background short-circuit at inference time.
 
 The quadtree already measured every patch's detail (the Eq. 6 region mass
 that decided not to split it); this package stops throwing that signal
-away at predict time. Three cooperating mechanisms, chosen per sequence
-by a calibrated cost model and executed through the shared
-:class:`~repro.serve.scheduler.WorkGraphScheduler` so every front-end
-(Predictor, InferenceEngine, FleetRouter, StreamingRunner) gets them:
-
-* **background short-circuit** — provably flat tokens route around the
-  transformer to a digest-keyed logits table;
-* **token merging** — runs of identical-digest tokens collapse to one
-  representative and fan back out before the stitch;
-* **plan chooser** — :mod:`repro.perf` FLOP accounting ranks dense vs.
-  reduced plans and picks the cheapest within the quality budget.
+away at predict time. Provably flat tokens whose quantized content was
+served before route around the transformer to a digest-keyed table of
+logits rows; first sightings stay in the sequence, one per digest, and
+seed the table. A sequence takes the short-circuit only when that moves
+it to a smaller length bucket. It runs inside the shared
+:class:`~repro.serve.scheduler.WorkGraphScheduler`, so every front-end
+(Predictor, InferenceEngine, FleetRouter, StreamingRunner) gets it.
 """
 
-from .chooser import PlanChoice, PlanChooser
 from .config import SparsityConfig
-from .digest import quantize_tokens, sequence_digest, token_digests
-from .plans import (SparsePlan, background_mask, merge_plan,
-                    shortcircuit_plan, take_tokens)
+from .digest import quantize_tokens, token_digests
+from .plans import SparsePlan, background_mask, shortcircuit_plan, take_tokens
 from .runtime import SparseRuntime
-from .table import BackgroundTable, SequenceMemo
+from .table import BackgroundTable
 
 __all__ = [
     "SparsityConfig", "SparseRuntime",
-    "PlanChooser", "PlanChoice",
-    "SparsePlan", "background_mask", "shortcircuit_plan", "merge_plan",
-    "take_tokens",
-    "BackgroundTable", "SequenceMemo",
-    "quantize_tokens", "token_digests", "sequence_digest",
+    "SparsePlan", "background_mask", "shortcircuit_plan", "take_tokens",
+    "BackgroundTable", "quantize_tokens", "token_digests",
 ]

@@ -1,82 +1,46 @@
-"""Configuration of the token-sparsity fast path."""
+"""Configuration of the background short-circuit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SparsityConfig", "MODES", "PLANS"]
+__all__ = ["SparsityConfig", "MODES", "DETAIL_THRESHOLD", "QUANTIZE",
+           "TABLE_ITEMS", "MIN_BACKGROUND"]
 
 #: Valid values of :attr:`SparsityConfig.mode`.
-MODES = ("off", "auto", "dense", "shortcircuit", "merge")
-#: Plans the chooser ranks (``dense`` is always a candidate).
-PLANS = ("dense", "shortcircuit", "merge")
+MODES = ("auto", "dense")
+#: Tokens with Eq. 6 detail mass <= this are background candidates: only
+#: provably flat leaves (zero edge mass).
+DETAIL_THRESHOLD = 0.0
+#: Content-quantization levels of token digests (unit range / levels).
+#: Only flat tokens are digested, and flat-but-noisy background shatters
+#: under fine grids into one-off digests that each keep a representative
+#: in-sequence; 8 keeps the table hot at a measured ~1 pp agreement cost
+#: against 256.
+QUANTIZE = 8
+#: LRU capacity of the background logits table (distinct digests).
+TABLE_ITEMS = 4096
+#: Fewest background tokens worth planning around: below this the bucket
+#: rarely shrinks, so the bookkeeping is pure overhead.
+MIN_BACKGROUND = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparsityConfig:
-    """Knobs of the inference-time token-sparsity subsystem.
+    """The one setting of the background short-circuit.
 
-    ``mode`` selects the plan policy:
+    * ``"auto"`` — a sequence short-circuits exactly when routing its
+      background tokens around the model moves it to a strictly smaller
+      length bucket (a cheaper compiled signature); otherwise it runs
+      dense.
+    * ``"dense"`` — every sequence runs dense, and outputs are bitwise
+      identical to a predictor without sparsity; the table still warms.
 
-    * ``"off"`` — the scheduler behaves exactly as without the subsystem
-      (the :class:`~repro.serve.predictor.Predictor` default).
-    * ``"auto"`` — the cost-model chooser picks the cheapest plan among
-      dense / short-circuit / merge whose *predicted* quality delta is
-      ``<= epsilon``. With the default ``epsilon = 0`` only plans the
-      model predicts to be quality-neutral qualify: dense always, and
-      short-circuit exactly when every routed-around token carries zero
-      Eq. 6 detail mass (provably flat content). Merge's predicted delta
-      is its merged-token fraction, so lossy merging stays **off by
-      default** and needs an explicit ``epsilon > 0`` (or ``mode="merge"``).
-    * ``"dense"`` / ``"shortcircuit"`` / ``"merge"`` — force one plan
-      (short-circuit/merge degrade to dense when a sequence offers no
-      background/merge tokens, or when the reduced sequence would still
-      overflow the positional table and break the row mapping).
-
-    Whenever ``mode != "off"`` the whole-sequence memo is also active: a
-    sequence whose exact bytes were served before replays its stored
-    stitched output — a pure cache, bitwise-identical to recomputation
-    under the same configuration.
+    ``Predictor(sparsity=None)`` turns the subsystem off.
     """
 
     mode: str = "auto"
-    #: Tokens with Eq. 6 detail mass <= this are background candidates.
-    #: The default 0.0 admits only provably flat leaves (zero edge mass).
-    detail_threshold: float = 0.0
-    #: Maximum predicted quality delta a plan may carry in ``auto`` mode.
-    epsilon: float = 0.0
-    #: Content-quantization levels for token digests (unit range / levels).
-    #: Coarser (smaller) values collapse more near-identical tokens into
-    #: one digest; 0 disables quantization (exact-byte digests). Only
-    #: quadtree-flat (sub-threshold Eq. 6 mass) tokens are digested for
-    #: the table, and flat-but-noisy background shatters under fine grids
-    #: into one-off digests that each keep a representative in-sequence —
-    #: 8 keeps the table hot at a measured ~1 pp agreement cost vs 256.
-    quantize: int = 8
-    #: LRU capacity of the background logits table (distinct digests).
-    table_items: int = 4096
-    #: LRU capacity of the whole-sequence memo (stitched outputs).
-    memo_items: int = 32
-    #: Minimum background tokens before a short-circuit plan is formed —
-    #: below this the bucket rarely shrinks, so the bookkeeping is pure
-    #: overhead.
-    min_background: int = 4
-    #: Minimum run length (same quantized digest, same leaf size) that
-    #: collapses to one representative in the merge plan.
-    min_run: int = 2
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown sparsity mode {self.mode!r}")
-        if self.detail_threshold < 0:
-            raise ValueError("detail_threshold must be >= 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.quantize < 0:
-            raise ValueError("quantize must be >= 0")
-        if self.table_items < 1 or self.memo_items < 1:
-            raise ValueError("cache capacities must be >= 1")
-        if self.min_background < 1:
-            raise ValueError("min_background must be >= 1")
-        if self.min_run < 2:
-            raise ValueError("min_run must be >= 2")

@@ -1,24 +1,16 @@
-"""Content digests for tokens and sequences.
+"""Content digests for tokens.
 
-Two granularities:
-
-* **Token digests** quantize each token's content to an integer grid and
-  view the rows as opaque fixed-width byte strings — equal digests mean
-  "near-identical content" at the configured quantization. These key the
-  background logits table and define merge runs.
-* **Sequence digests** hash the *exact* bytes of everything that
-  determines a sequence's model output (tokens, coords, validity, leaf
-  geometry). Equal digests mean bitwise-identical inputs, so the memo
-  built on them replays outputs without any approximation.
+Token digests quantize each token's content to an integer grid and view
+the rows as opaque fixed-width byte strings: equal digests mean
+"near-identical content" at the configured quantization. They key the
+background logits table.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-__all__ = ["quantize_tokens", "token_digests", "sequence_digest"]
+__all__ = ["quantize_tokens", "token_digests"]
 
 
 def quantize_tokens(tokens: np.ndarray, quantize: int) -> np.ndarray:
@@ -44,20 +36,3 @@ def token_digests(tokens: np.ndarray, quantize: int) -> np.ndarray:
     """
     q = np.ascontiguousarray(quantize_tokens(tokens, quantize))
     return q.view((np.void, q.dtype.itemsize * q.shape[1]))[:, 0]
-
-
-def sequence_digest(seq) -> str:
-    """Hex blake2b over the exact bytes of a sequence's model inputs.
-
-    Covers token content, normalized coords, the validity mask and leaf
-    sizes — everything the forward pass and the stitch consume — plus the
-    geometry scalars, so two sequences share a digest only when the model
-    would see bitwise-identical inputs and scatter to identical planes.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64([seq.scene_size, seq.patch_size, len(seq)]).tobytes())
-    for arr in (seq.tokens(), seq.coords(), seq.valid, seq.sizes):
-        a = np.ascontiguousarray(arr)
-        h.update(str(a.dtype).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()

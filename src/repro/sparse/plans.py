@@ -1,11 +1,11 @@
-"""Sparse execution plans: which tokens run, which ride a shortcut.
+"""The short-circuit plan: which tokens run, which ride the table.
 
 A :class:`SparsePlan` pairs the original natural sequence with a reduced
 one and a row map reconnecting them:
 
 * ``rows[i] >= 0`` — full-sequence token ``i`` reads its logits from row
   ``rows[i]`` of the reduced forward's output (its own row for kept
-  tokens, the representative's row for merged/deduplicated tokens).
+  tokens, its digest group's representative's row for duplicates).
 * ``rows[i] == -1`` — token ``i`` was short-circuited around the model
   entirely; its logits were copied out of the background table when the
   plan was formed (``cached``).
@@ -28,21 +28,19 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["SparsePlan", "background_mask", "take_tokens",
-           "shortcircuit_plan", "merge_plan"]
+           "shortcircuit_plan"]
 
 
 @dataclass
 class SparsePlan:
-    """One chosen sparse execution of one natural sequence."""
+    """The short-circuit execution of one natural sequence."""
 
-    kind: str                        #: "shortcircuit" | "merge"
     full_seq: object                 #: the original natural sequence
     reduced_seq: object              #: what actually runs through the model
     rows: np.ndarray                 #: (L_full,) -> reduced row, or -1
-    digests: Optional[np.ndarray]    #: (L_full,) token digests (shortcircuit)
-    n_skipped: int = 0               #: tokens routed to the table
-    n_merged: int = 0                #: tokens collapsed onto a representative
-    seeds: Optional[np.ndarray] = None   #: full idx of first-seen bg digests
+    n_skipped: int                   #: tokens routed to the table
+    n_merged: int                    #: duplicates read a representative's row
+    seeds: np.ndarray                #: full idx of first-seen bg digests
     cached: Optional[dict] = None    #: full idx -> logits row (table copies)
 
 
@@ -96,32 +94,9 @@ def shortcircuit_plan(seq, digests: np.ndarray, bg: np.ndarray,
     kept_pos = np.cumsum(keep_mask) - 1       # reduced row of each kept token
     rows = np.where(skip, -1, kept_pos[rep])
     n_skipped = int(skip.sum())
-    return SparsePlan(kind="shortcircuit", full_seq=seq,
+    return SparsePlan(full_seq=seq,
                       reduced_seq=take_tokens(seq, np.flatnonzero(keep_mask)),
-                      rows=rows, digests=digests, n_skipped=n_skipped,
+                      rows=rows, n_skipped=n_skipped,
                       n_merged=int(n - keep_mask.sum()) - n_skipped,
                       seeds=np.asarray(seeds, dtype=np.int64))
 
-
-def merge_plan(seq, digests: np.ndarray, sizes: np.ndarray,
-               min_run: int) -> Optional[SparsePlan]:
-    """Collapse runs of identical-digest, same-size tokens onto their
-    first member. Returns ``None`` when nothing merges."""
-    n = len(digests)
-    same = (digests[1:] == digests[:-1]) & (sizes[1:] == sizes[:-1])
-    starts = np.flatnonzero(np.r_[True, ~same])
-    lengths = np.diff(np.r_[starts, n])
-    rep = np.arange(n)
-    keep_mask = np.ones(n, dtype=bool)
-    for s, ln in zip(starts[lengths >= min_run], lengths[lengths >= min_run]):
-        keep_mask[s + 1:s + ln] = False
-        rep[s:s + ln] = s
-    n_merged = int(n - keep_mask.sum())
-    if n_merged == 0:
-        return None
-    kept_pos = np.cumsum(keep_mask) - 1       # reduced row of each kept token
-    rows = kept_pos[rep]
-    keep = np.flatnonzero(keep_mask)
-    return SparsePlan(kind="merge", full_seq=seq,
-                      reduced_seq=take_tokens(seq, keep), rows=rows,
-                      digests=None, n_merged=n_merged)

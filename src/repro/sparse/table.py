@@ -1,4 +1,4 @@
-"""Bounded caches backing the sparsity fast path.
+"""The background logits table.
 
 :class:`BackgroundTable` maps a background token's identity — quantized
 content digest, leaf size, scene size — to the in-context logits row its
@@ -6,12 +6,8 @@ first sighting produced (seeded from a normal forward, never a dedicated
 probe), so sub-threshold patches route around the transformer entirely
 from their second sighting on.
 
-:class:`SequenceMemo` maps a whole sequence's exact-byte digest to its
-stitched probability map: a replay cache, bitwise-identical to
-recomputation under the same configuration.
-
-Both are :class:`~repro.cache.LRU` maps; the runtime copies arrays on the
-way in and out, so cached state never aliases a caller's buffer.
+It is an :class:`~repro.cache.LRU`; the runtime copies rows on the way
+in, so cached state never aliases a caller's buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import numpy as np
 
 from ..cache import LRU
 
-__all__ = ["BackgroundTable", "SequenceMemo"]
+__all__ = ["BackgroundTable"]
 
 
 class BackgroundTable(LRU):
@@ -32,7 +28,3 @@ class BackgroundTable(LRU):
     def key(digest: np.void, size: int, scene: int) -> Tuple[bytes, int, int]:
         """Identity of a background token: content digest + leaf geometry."""
         return (digest.tobytes(), int(size), int(scene))
-
-
-class SequenceMemo(LRU):
-    """Exact-byte sequence digest -> stitched probability map."""

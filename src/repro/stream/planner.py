@@ -134,8 +134,7 @@ def plan_scene(shape: Tuple[int, ...], tile: int = 1024, *,
     ``tile`` must be a power of two dividing both H and W — the quadtree
     alignment that makes each macro-tile a cell of the virtual global
     quadtree. ``order`` is ``"morton"`` (default), ``"hilbert"`` (strictly
-    better tile-to-tile locality — no diagonal quadrant jumps — which also
-    improves merge-run locality for the token-sparsity pass) or
+    better tile-to-tile locality — no diagonal quadrant jumps) or
     ``"rowmajor"``. ``max_len`` (the serving model's positional capacity)
     refines the token term of the working-set estimate.
     """

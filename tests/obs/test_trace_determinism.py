@@ -20,6 +20,8 @@ from repro.serve import (InferenceEngine, Predictor, ReplicaKill,
                          ServiceModel, SimClock, build_fleet, merge_traces,
                          poisson_trace, run_fleet_load, run_load)
 
+from ..conftest import assert_quiescent
+
 N_IMGS = 6
 
 
@@ -69,6 +71,7 @@ class TestDeterminism:
             router, clock, tracer = _traced_fleet()
             imgs = _images()
             run_fleet_load(router, _arrivals(), imgs, clock)
+            assert_quiescent(router)
             blobs.append(_canonical(tracer))
         assert blobs[0] == blobs[1]
 
@@ -76,6 +79,7 @@ class TestDeterminism:
         router, clock, tracer = _traced_fleet()
         imgs = _images()
         report = run_fleet_load(router, _arrivals(), imgs, clock)
+        assert_quiescent(router)
         trace = chrome_trace(tracer)
         assert validate_trace(trace) == []
         begins = [e for e in trace["traceEvents"]
@@ -103,6 +107,7 @@ class TestDeterminism:
         kill_t = trace_in[len(trace_in) // 2].time
         report = run_fleet_load(router, trace_in, imgs, clock,
                                 events=[ReplicaKill(kill_t, 1)])
+        assert_quiescent(router)
         assert report["kills"] == 1 and report["failed"] == 0
         exported = chrome_trace(tracer)
         assert validate_trace(exported) == []
@@ -136,6 +141,7 @@ class TestDeterminism:
                                  flush_deadline=0.02, result_cache_items=16)
             reports.append(run_fleet_load(router, _arrivals(), _images(),
                                           clock))
+            assert_quiescent(router)
         assert reports[0] == reports[1]
 
 

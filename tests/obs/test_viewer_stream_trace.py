@@ -17,6 +17,8 @@ from repro.stream import MemorySink, VirtualWSISource, plan_scene
 from repro.stream.runner import StreamingRunner
 from repro.stream.source import ArraySource
 
+from ..conftest import assert_quiescent
+
 
 def _model():
     return ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1, heads=2,
@@ -149,6 +151,7 @@ class TestViewerDESTrace:
         mid = events[len(events) // 2].time
         report = run_viewer_load(svc, events, clock,
                                  events=[ReplicaKill(mid, 0)])
+        assert_quiescent(svc)
         assert report["failed"] == 0 and report["leaked"] == 0
         faults = _events(tracer, "fault.kill")
         assert len(faults) == 1 and faults[0]["track"] == "loadgen"

@@ -6,7 +6,7 @@ from repro.perf import (ClusterSpec, CostModel, TransformerConfig,
                         activation_bytes, apf_length_curve, attention_flops,
                         attention_memory_bytes, encoder_flops,
                         equal_cost_patch_size, equivalent_sequence_gain,
-                        inference_flops, training_flops)
+                        training_flops)
 
 
 class TestFlops:
@@ -34,11 +34,6 @@ class TestFlops:
     def test_training_is_3x_forward(self):
         c = TransformerConfig(128, 32, 2)
         assert training_flops(c) == pytest.approx(3 * encoder_flops(c))
-
-    def test_inference_is_forward_only(self):
-        c = TransformerConfig(128, 32, 2)
-        assert inference_flops(c) == pytest.approx(encoder_flops(c))
-        assert inference_flops(c) == pytest.approx(training_flops(c) / 3)
 
     def test_attention_memory_quadratic(self):
         c1 = TransformerConfig(1024, 64, 4, heads=8)
@@ -114,21 +109,9 @@ class TestCostModel:
             assert cm.seconds_per_image(cfg, world_size=w) == pytest.approx(
                 base + cm.allreduce_seconds(50e6, w))
 
-    def test_inference_seconds_and_calibration(self):
-        cm = CostModel()
-        cfg = TransformerConfig(1024, 64, 4)
-        cm.calibrate_inference(cfg, measured_seconds=0.25)
-        assert cm.inference_seconds(cfg) == pytest.approx(0.25)
-        # Shorter sequences must be predicted strictly cheaper (the ordering
-        # the sparsity plan chooser relies on).
-        shorter = TransformerConfig(256, 64, 4)
-        assert cm.inference_seconds(shorter) < cm.inference_seconds(cfg)
-
     def test_calibrate_validation(self):
         with pytest.raises(ValueError):
             CostModel().calibrate(TransformerConfig(8, 8, 1), 0.0)
-        with pytest.raises(ValueError):
-            CostModel().calibrate_inference(TransformerConfig(8, 8, 1), 0.0)
 
 
 class TestEquivalence:

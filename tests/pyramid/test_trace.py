@@ -12,6 +12,8 @@ from repro.serve import (InferenceEngine, Predictor, ReplicaDrain,
                          ReplicaKill, ServiceModel, SimClock, build_fleet)
 from repro.stream.source import VirtualWSISource
 
+from ..conftest import assert_quiescent
+
 RES = 1024
 TILE = 32
 
@@ -101,7 +103,9 @@ class TestRunViewerLoad:
     def test_engine_run_clean_and_deterministic(self):
         def run():
             svc, clock = _engine_service(prefetch_tiles=2)
-            return run_viewer_load(svc, _trace(), clock)
+            report = run_viewer_load(svc, _trace(), clock)
+            assert_quiescent(svc)
+            return report
 
         one, two = run(), run()
         assert one["failed"] == 0 and one["leaked"] == 0
@@ -115,6 +119,7 @@ class TestRunViewerLoad:
     def test_ttft_measured_per_viewport(self):
         svc, clock = _engine_service(prefetch_tiles=0)
         report = run_viewer_load(svc, _trace(), clock)
+        assert_quiescent(svc)
         ttft = report["ttft"]
         assert ttft["count"] + report["starved_viewports"] == \
             report["viewports"]
@@ -125,16 +130,19 @@ class TestRunViewerLoad:
         svc, clock = _engine_service()
         with pytest.raises(ValueError):
             run_viewer_load(svc, [], clock)
+        assert_quiescent(svc)
 
     def test_events_need_fleet(self):
         svc, clock = _engine_service()
         with pytest.raises(ValueError):
             run_viewer_load(svc, _trace(), clock,
                             events=[ReplicaKill(0.1, 0)])
+        assert_quiescent(svc)
 
     def test_fleet_run_clean(self):
         svc, clock = _fleet_service(prefetch_tiles=2)
         report = run_viewer_load(svc, _trace(), clock)
+        assert_quiescent(svc)
         assert report["failed"] == 0 and report["leaked"] == 0
         assert report["outstanding"] == 0
 
@@ -147,6 +155,7 @@ class TestRunViewerLoad:
         svc, clock = _fleet_service(replicas=2, prefetch_tiles=2)
         report = run_viewer_load(svc, trace, clock,
                                  events=[ReplicaKill(mid, 0)])
+        assert_quiescent(svc)
         assert report["backend"]["router"]["kills"] == 1
         assert report["failed"] == 0
         assert report["leaked"] == 0
@@ -162,6 +171,7 @@ class TestRunViewerLoad:
         svc, clock = _fleet_service(replicas=2, prefetch_tiles=2)
         report = run_viewer_load(svc, trace, clock,
                                  events=[ReplicaDrain(mid, 1)])
+        assert_quiescent(svc)
         assert report["backend"]["router"]["drains"] == 1
         assert report["failed"] == 0
         assert report["leaked"] == 0
@@ -180,6 +190,7 @@ class TestRunViewerLoad:
             trace = _trace(sessions=sessions, events_per_session=24 // sessions,
                            hotspots=1)
             report = run_viewer_load(svc, trace, clock)
+            assert_quiescent(svc)
             return ((report["cache_hits"] + report["joined"])
                     / report["tiles_visible"])
 

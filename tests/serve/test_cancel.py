@@ -11,7 +11,7 @@ from repro.serve import (InferenceEngine, Predictor, ServiceModel, SimClock,
                          build_fleet)
 from repro.serve.queueing import FairQueue, Request
 
-from .conftest import assert_quiescent
+from ..conftest import assert_quiescent
 
 
 def _model(**kw):

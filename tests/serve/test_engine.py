@@ -18,7 +18,7 @@ from repro.serve import (EngineOverloaded, InferenceEngine, Predictor,
                          ServiceModel, SimClock)
 from repro.train.tasks import prepare_image
 
-from .conftest import assert_quiescent
+from ..conftest import assert_quiescent
 
 settings.register_profile("engine", max_examples=8, deadline=None)
 settings.load_profile("engine")

@@ -11,6 +11,8 @@ from repro.serve import (Arrival, InferenceEngine, Predictor, ReplicaDrain,
                          merge_traces, poisson_trace, run_fleet_load,
                          run_load, serial_baseline)
 
+from ..conftest import assert_quiescent
+
 
 def _setup(n=6, **engine_kw):
     ds = SyntheticPAIP(64, n)
@@ -157,6 +159,7 @@ class TestRunFleetLoad:
                                                  n_items=len(imgs))
                                    for c in range(3)])
             reports.append(run_fleet_load(router, trace, imgs, clock))
+            assert_quiescent(router)
         a, b = reports
         assert a["throughput"] == b["throughput"]
         assert a["latency"] == b["latency"]
@@ -167,6 +170,7 @@ class TestRunFleetLoad:
         imgs, router, clock = _fleet_setup()
         trace = poisson_trace(50.0, 30, seed=4, n_items=len(imgs))
         report = run_fleet_load(router, trace, imgs, clock)
+        assert_quiescent(router)
         assert report["offered"] == 30
         assert (report["requests_completed"]
                 + report["rejected_submissions"] == 30)
@@ -181,6 +185,7 @@ class TestRunFleetLoad:
         kill_t = trace[len(trace) // 2].time
         report = run_fleet_load(router, trace, imgs, clock,
                                 events=[ReplicaKill(kill_t, 1)])
+        assert_quiescent(router)
         assert report["kills"] == 1
         assert report["failed"] == 0
         assert (report["requests_completed"]
@@ -194,6 +199,7 @@ class TestRunFleetLoad:
         drain_t = trace[len(trace) // 3].time
         report = run_fleet_load(router, trace, imgs, clock,
                                 events=[ReplicaDrain(drain_t, 0)])
+        assert_quiescent(router)
         assert report["drains"] == 1
         assert report["failed"] == 0
         assert report["per_replica"][0]["state"] == "draining"
@@ -211,6 +217,8 @@ class TestRunFleetLoad:
         imgs2, slow_router, clock1 = _fleet_setup()
         slow_router.route_seconds = 0.05
         slow = run_fleet_load(slow_router, trace, imgs2, clock1)
+        assert_quiescent(fast_router)
+        assert_quiescent(slow_router)
         # a constant hop shifts every submission equally: engine-visible
         # latency (measured from post-hop submit) is unchanged, but the
         # timeline — and so the makespan from first *arrival* — stretches
@@ -224,11 +232,13 @@ class TestRunFleetLoad:
         with pytest.raises(TypeError):
             run_fleet_load(router, trace, imgs, clock,
                            events=[Arrival(0.0, 0)])
+        assert_quiescent(router)
 
     def test_empty_trace_rejected(self):
         imgs, router, clock = _fleet_setup()
         with pytest.raises(ValueError):
             run_fleet_load(router, [], imgs, clock)
+        assert_quiescent(router)
 
     def test_fleet_outscales_single_engine(self):
         trace = merge_traces(*[poisson_trace(60.0, 25, seed=60 + c, n_items=6)
@@ -239,6 +249,7 @@ class TestRunFleetLoad:
                                                result_cache_items=0)
             throughput[n] = run_fleet_load(router, trace, imgs,
                                            clock)["throughput"]
+            assert_quiescent(router)
         assert throughput[4] > throughput[1]
 
 
@@ -264,6 +275,7 @@ class TestOneServerFleet:
         single = run_load(engine, trace, imgs, clock)
         imgs, router, fleet_clock = _fleet_setup(replicas=1, **opts)
         fleet = run_fleet_load(router, trace, imgs, fleet_clock)
+        assert_quiescent(router)
         for key in self.SHARED:
             assert fleet[key] == single[key], key
         assert fleet_clock.now() == clock.now()

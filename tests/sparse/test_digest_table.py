@@ -1,11 +1,11 @@
-"""Tests for content digests and the bounded sparsity caches."""
+"""Tests for token digests, sequence keys and the background table."""
 
 import numpy as np
 import pytest
 
-from repro.patching import AdaptivePatcher
-from repro.sparse import (BackgroundTable, SequenceMemo, quantize_tokens,
-                          sequence_digest, token_digests)
+from repro.pipeline import PatchPipeline
+from repro.pipeline.engine import content_key
+from repro.sparse import BackgroundTable, quantize_tokens, token_digests
 
 
 def corner_image(z=64, seed=0):
@@ -45,44 +45,64 @@ class TestTokenDigests:
 
 
 class TestSequenceDigest:
-    def _seq(self, seed=0):
-        return AdaptivePatcher(patch_size=4, split_value=8.0)(
-            corner_image(seed=seed))
+    """A sequence is identified by its source image's ``content_key``.
+
+    The sparsity package keeps no digest of its own: the pipeline's
+    sequence cache and the engine's result cache key on the one content
+    digest, so a repeat is recognised only on bitwise-equal input.
+    """
+
+    def _pipe(self):
+        return PatchPipeline(patch_size=4, split_value=8.0, channels=1,
+                             cache_items=8)
 
     def test_deterministic(self):
-        assert sequence_digest(self._seq()) == sequence_digest(self._seq())
+        assert content_key(corner_image()) == content_key(corner_image())
+        pipe = self._pipe()
+        first = pipe.process([corner_image()])[0]
+        assert pipe.process([corner_image()])[0] is first
+        assert pipe.stats["hits"] == 1
 
     def test_content_sensitive(self):
-        assert sequence_digest(self._seq(0)) != sequence_digest(self._seq(1))
+        assert content_key(corner_image(seed=0)) != \
+            content_key(corner_image(seed=1))
+        pipe = self._pipe()
+        pipe.process([corner_image(seed=0)])
+        pipe.process([corner_image(seed=1)])
+        assert pipe.stats["hits"] == 0
 
     def test_single_bit_flip_changes_digest(self):
-        seq = self._seq()
-        base = sequence_digest(seq)
-        seq.patches[0, 0, 0, 0] += 1e-12
-        assert sequence_digest(seq) != base
+        img = corner_image()
+        base = content_key(img)
+        img[0, 0] += 1e-12
+        assert content_key(img) != base
+        pipe = self._pipe()
+        pipe.process([corner_image()])
+        pipe.process([img])
+        assert pipe.stats["hits"] == 0
 
 
 class TestLRUCaches:
     def test_hit_miss_accounting(self):
-        memo = SequenceMemo(4)
-        assert memo.get("a") is None
-        memo.put("a", np.ones(3))
-        np.testing.assert_array_equal(memo.get("a"), 1.0)
-        assert (memo.hits, memo.misses) == (1, 1)
+        table = BackgroundTable(4)
+        assert table.get("a") is None
+        table.put("a", np.ones(3))
+        np.testing.assert_array_equal(table.get("a"), 1.0)
+        assert (table.hits, table.misses) == (1, 1)
 
     def test_capacity_evicts_least_recent(self):
-        memo = SequenceMemo(2)
-        memo.put("a", np.zeros(1))
-        memo.put("b", np.zeros(1))
-        memo.get("a")                      # refresh a — b is now oldest
-        memo.put("c", np.zeros(1))
-        assert memo.get("b") is None
-        assert memo.get("a") is not None
-        assert len(memo) == 2
+        table = BackgroundTable(2)
+        table.put("a", np.zeros(1))
+        table.put("b", np.zeros(1))
+        table.get("a")                      # refresh a — b is now oldest
+        table.put("c", np.zeros(1))
+        assert table.get("b") is None
+        assert table.get("a") is not None
+        assert len(table) == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SequenceMemo(0)
+            BackgroundTable(0)
 
     def test_background_key_separates_geometry(self):
         d = token_digests(np.array([[0.5, 0.5]]), 256)[0]

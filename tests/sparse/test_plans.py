@@ -2,10 +2,14 @@
 
 import numpy as np
 
+from repro.models import ViTSegmenter
 from repro.patching import (AdaptivePatcher, UniformPatcher,
                             VolumetricAdaptivePatcher)
-from repro.sparse import (background_mask, merge_plan, shortcircuit_plan,
+from repro.pipeline import PatchPipeline
+from repro.serve import Predictor
+from repro.sparse import (SparsityConfig, background_mask, shortcircuit_plan,
                           take_tokens, token_digests)
+from repro.sparse.config import MIN_BACKGROUND, QUANTIZE
 
 
 def corner_image(z=64, seed=0):
@@ -77,7 +81,6 @@ class TestShortcircuitPlan:
         digests = token_digests(seq.tokens(), 256)
         bg = background_mask(seq, 0.0)
         plan = shortcircuit_plan(seq, digests, bg, known=bg.copy())
-        assert plan.kind == "shortcircuit"
         assert plan.n_skipped == int(bg.sum()) and plan.n_merged == 0
         assert len(plan.seeds) == 0                  # nothing new to seed
         assert len(plan.reduced_seq) == len(seq) - plan.n_skipped
@@ -126,44 +129,68 @@ class TestShortcircuitPlan:
             assert red[plan.rows[i]] == digests[i]
 
 
+
 class TestMergePlan:
-    def _run_seq(self):
-        # A mostly-flat image yields runs of identical flat tokens at the
-        # same leaf size once ordered along the curve.
-        seq = corner_seq(z=128)
-        digests = token_digests(seq.tokens(), 256)
-        return seq, digests
+    """Within the short-circuit plan, equal background digests merge.
+
+    A cold-table background token whose (digest, leaf size) already
+    appeared earlier in the sequence leaves the forward and reads its
+    first occurrence's row; the plan counts these in ``n_merged``.
+    """
 
     def test_runs_collapse_onto_first_member(self):
-        seq, digests = self._run_seq()
-        plan = merge_plan(seq, digests, seq.sizes, min_run=2)
-        assert plan is not None and plan.n_merged > 0
-        assert len(plan.reduced_seq) == len(seq) - plan.n_merged
-        red = token_digests(plan.reduced_seq.tokens(), 256)
-        for i in range(len(seq)):
-            # Every full-row token maps to a reduced row with its digest.
-            assert red[plan.rows[i]] == digests[i]
-        # Representatives are the run heads, in original order.
-        assert (np.diff(plan.rows) >= 0).all()
-
-    def test_min_run_gates_merging(self):
-        seq, digests = self._run_seq()
-        loose = merge_plan(seq, digests, seq.sizes, min_run=2)
-        strict = merge_plan(seq, digests, seq.sizes, min_run=64)
-        assert strict is None or strict.n_merged < loose.n_merged
+        seq = corner_seq(z=128)
+        digests = token_digests(seq.tokens(), 256)
+        bg = background_mask(seq, 0.0)
+        plan = shortcircuit_plan(seq, digests, bg,
+                                 known=np.zeros(len(seq), dtype=bool))
+        assert plan.n_merged > 0
+        first = {}
+        for i in np.flatnonzero(bg):
+            first.setdefault((digests[i].tobytes(), int(seq.sizes[i])), i)
+        # The representatives are the groups' first members, in order.
+        np.testing.assert_array_equal(plan.seeds, sorted(first.values()))
+        kept = np.ones(len(seq), dtype=bool)
+        for i in np.flatnonzero(bg):
+            j = first[(digests[i].tobytes(), int(seq.sizes[i]))]
+            kept[i] = i == j
+            assert plan.rows[i] == plan.rows[j]
+        # A first member keeps its own row: its rank among kept tokens.
+        np.testing.assert_array_equal(plan.rows[kept],
+                                      np.arange(int(kept.sum())))
 
     def test_none_when_nothing_merges(self):
-        rng = np.random.default_rng(0)
-        seq = UniformPatcher(4)(rng.random((32, 32)))
-        digests = token_digests(seq.tokens(), 0)      # exact: all distinct
-        assert merge_plan(seq, digests, seq.sizes, min_run=2) is None
+        # One background token per (digest, leaf size) and a cold table:
+        # nothing merges or skips, so the runtime takes no plan, and the
+        # first sightings still seed the table.
+        seq = corner_seq(z=128)
+        bg = background_mask(seq, 0.0)
+        digests = token_digests(seq.tokens(), QUANTIZE)
+        first = {}
+        for i in np.flatnonzero(bg):
+            first.setdefault((digests[i].tobytes(), int(seq.sizes[i])), i)
+        sub = take_tokens(seq, np.sort(np.concatenate(
+            [np.flatnonzero(~bg), list(first.values())])))
+        assert len(first) >= MIN_BACKGROUND
+        model = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1,
+                             heads=2, max_len=256,
+                             rng=np.random.default_rng(1))
+        pipe = PatchPipeline(patch_size=4, split_value=8.0, channels=1)
+        p = Predictor(model, pipe, bucket=4, sparsity=SparsityConfig())
+        plan, seeds = p.sparsity._plan(sub)
+        assert plan is None
+        assert len(seeds) == len(first)
 
     def test_size_mismatch_breaks_a_run(self):
-        digests = np.array([b"a", b"a", b"a", b"a"], dtype="V1")
-        sizes = np.array([4, 4, 8, 8])
         seq = corner_seq()
-        sub = take_tokens(seq, np.arange(4))
-        plan = merge_plan(sub, digests, sizes, min_run=2)
-        # Two runs of two — each collapses one token.
+        bg = background_mask(seq, 0.0)
+        small = np.flatnonzero(bg & (seq.sizes == 8))[:2]
+        large = np.flatnonzero(bg & (seq.sizes == 16))[:2]
+        sub = take_tokens(seq, np.concatenate([small, large]))
+        digests = np.array([b"a", b"a", b"a", b"a"], dtype="V1")
+        plan = shortcircuit_plan(sub, digests, np.ones(4, dtype=bool),
+                                 known=np.zeros(4, dtype=bool))
+        # One digest, two leaf sizes: two groups of two, one merge each.
         assert plan.n_merged == 2
         np.testing.assert_array_equal(plan.rows, [0, 0, 1, 1])
+        np.testing.assert_array_equal(plan.seeds, [0, 2])
