@@ -25,7 +25,7 @@ failed requests are marked with an outcome.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .tracer import Tracer
 

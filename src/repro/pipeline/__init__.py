@@ -8,7 +8,7 @@ The scale-out layer over :mod:`repro.patching`:
 * :class:`BatchedVolumetricPatcher` — the 3-D analogue: exact-replay
   gradient detail + level-synchronous batched octree + vectorized cube
   gather, bit-identical to the per-volume patcher
-* :class:`PatchPipeline` — worker pool + LRU sequence cache + fixed-length
+* :class:`PatchPipeline` — thread pool + LRU sequence cache + fixed-length
   collation front-end, dimension-generic over both patchers
 * :class:`CollatedBatch` / :func:`collate_batch` — the ``(B, L, C·Pm²)``
   (or ``(B, L, Pm³)``) token tensor + validity mask hand-off to

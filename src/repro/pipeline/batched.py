@@ -15,7 +15,7 @@ paper-faithful reference implementation). The speed comes from three places:
    so the resulting edge mask is equal bit-for-bit, not merely close.
    Hysteresis labels the weak pixels and reads labels back only there.
 2. **Level-synchronous batched quadtree** (stage 3) via
-   :func:`~repro.quadtree.tree.build_quadtree_batch`: one shared frontier,
+   :func:`~repro.quadtree.tree.build_tree_batch`: one shared frontier,
    a single region-sum lookup per depth across all images, and summed-area
    tables built only on the ``patch_size`` grid the builder queries.
 3. **Cache-sized dense passes**: the blur and the screen run per block of
@@ -41,7 +41,7 @@ from scipy import ndimage
 from ..imaging import gaussian_blur, to_grayscale
 from ..imaging.filters import KSIZE_FOR_RESOLUTION, gaussian_kernel1d
 from ..patching.adaptive import AdaptivePatcher, _variance_detail
-from ..quadtree import QuadtreeLeaves, balance_2to1, build_quadtree_batch
+from ..quadtree import QuadtreeLeaves, balance_2to1, build_tree_batch
 
 __all__ = ["BatchedAdaptivePatcher"]
 
@@ -375,9 +375,9 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
         """Stage 3 for a batch: one level-synchronous build over all images."""
         detail = self.detail_map_batch(images)
         cfg = self.config
-        trees = build_quadtree_batch(detail, cfg.split_value,
-                                     self._tree_depth(detail.shape[1]),
-                                     min_size=cfg.patch_size)
+        trees = build_tree_batch(detail, cfg.split_value,
+                                 self._tree_depth(detail.shape[1]),
+                                 min_size=cfg.patch_size)
         if cfg.balance:
             trees = [balance_2to1(t) for t in trees]
         return trees

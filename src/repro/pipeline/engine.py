@@ -8,9 +8,9 @@ real workload needs on top of raw batch kernels:
   so every epoch after the first costs a dictionary lookup per image while
   the drop stage stays fresh (Algorithm 1's amortization: the patched
   dataset ``Dp`` is built once, then reused by every epoch);
-* a **worker pool** (``workers=N``, thread- or process-based) that shards
-  cache misses into sub-batches — workers only compute deterministic natural
-  sequences, so results are identical for any worker count;
+* a **thread pool** (``workers=N``) that shards cache misses into
+  sub-batches — workers only compute deterministic natural sequences, so
+  results are identical for any worker count;
 * **collation** to a fixed length ``L`` with per-item seeded drop/pad,
   producing the ``(B, L, C·Pm²)`` tensor + validity mask the models consume.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Hashable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -72,14 +72,6 @@ def content_key(image: np.ndarray) -> Hashable:
                             digest_size=16).hexdigest())
 
 
-def _extract_shard(config: Union[APFConfig, VolumeAPFConfig],
-                   images: List[np.ndarray]) -> List[PatchSequence]:
-    """Worker entry point: natural sequences for one shard (picklable)."""
-    cls = (BatchedVolumetricPatcher if isinstance(config, VolumeAPFConfig)
-           else BatchedAdaptivePatcher)
-    return cls(config).extract_natural_batch(images)
-
-
 class PatchPipeline:
     """Batched, cached, optionally parallel APF preprocessing.
 
@@ -90,10 +82,8 @@ class PatchPipeline:
         (3-D octree APF) shared by all workers; keyword overrides construct
         an :class:`APFConfig`.
     workers:
-        0 runs in-process; ``N > 0`` shards cache misses over ``N`` workers.
-    executor:
-        ``"thread"`` (default — NumPy/SciPy release the GIL in the hot loops)
-        or ``"process"`` (true parallelism; images are pickled to workers).
+        0 or 1 runs in-process; ``N > 1`` shards cache misses over ``N``
+        threads (NumPy/SciPy release the GIL in the hot loops).
     cache_items:
         LRU capacity in sequences; ``0`` disables caching entirely.
     channels:
@@ -112,13 +102,10 @@ class PatchPipeline:
     """
 
     def __init__(self, config: Optional[Union[APFConfig, VolumeAPFConfig]] = None,
-                 *, workers: int = 0, executor: str = "thread",
-                 cache_items: int = 1024, channels: Optional[int] = None,
-                 **overrides):
+                 *, workers: int = 0, cache_items: int = 1024,
+                 channels: Optional[int] = None, **overrides):
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.volumetric = isinstance(config, VolumeAPFConfig)
         if self.volumetric:
             if overrides:
@@ -131,7 +118,6 @@ class PatchPipeline:
         else:
             self.patcher = BatchedAdaptivePatcher(config, **overrides)
         self.workers = workers
-        self.executor = executor
         self.cache = LRU(cache_items) if cache_items else None
         self.build_seconds = 0.0     #: wall time spent computing cache misses
         self.channels = channels
@@ -155,11 +141,8 @@ class PatchPipeline:
             return self.patcher.extract_natural_batch(images)
         size = -(-len(images) // self.workers)   # ceil division
         shards = [images[i:i + size] for i in range(0, len(images), size)]
-        pool_cls = (ThreadPoolExecutor if self.executor == "thread"
-                    else ProcessPoolExecutor)
-        with pool_cls(max_workers=len(shards)) as pool:
-            parts = list(pool.map(_extract_shard,
-                                  [self.config] * len(shards), shards))
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            parts = list(pool.map(self.patcher.extract_natural_batch, shards))
         return [seq for part in parts for seq in part]
 
     def process(self, images: Sequence[np.ndarray],

@@ -17,8 +17,9 @@ The speed comes from four places:
    ``thr < b`` and ``mag² > b²`` otherwise — no full-volume ``sqrt`` and no
    sort, same mask bit-for-bit.
 2. **Level-synchronous batched octree** via
-   :func:`~repro.quadtree.octree.build_octree_batch`: one shared frontier
-   and a single region-sums lookup per depth across all volumes.
+   :func:`~repro.quadtree.tree.build_tree_batch`: one shared frontier
+   and a single region-sums lookup per depth across all volumes, over
+   summed-volume tables sampled on the ``patch_size`` grid.
 3. **Vectorized cube gather**: leaves are gathered per size group with one
    fancy-index + reshape-mean per group instead of a Python loop per leaf
    (the multi-axis mean reduces each cube in the same element order as the
@@ -39,8 +40,8 @@ from typing import List, Sequence
 import numpy as np
 from scipy import ndimage
 
-from ..patching.volumetric import VolumeSequence, VolumetricAdaptivePatcher
-from ..quadtree.octree import OctreeLeaves, octree_frontier_batch
+from ..patching.volumetric import VolumetricAdaptivePatcher
+from ..quadtree import OctreeLeaves, build_tree_batch
 from .batched import BatchExtract, _Scratch
 
 __all__ = ["BatchedVolumetricPatcher"]
@@ -165,39 +166,30 @@ class BatchedVolumetricPatcher(BatchExtract, VolumetricAdaptivePatcher):
             self, volumes: Sequence[np.ndarray]) -> List[OctreeLeaves]:
         """One level-synchronous octree build over all volumes.
 
-        The detail masks are written straight into the stacked summed-volume
-        table (in-place cumulative sums) — no intermediate float64 detail
-        stack, no per-volume integral temporaries.
+        Each detail mask goes to the builder as soon as it is computed and
+        is summed into its sampled table before the next volume's mask
+        reuses the scratch buffer, so no (B, Z, Z, Z) detail stack is held.
         """
         if len(volumes) == 0:
             return []
         cfg = self.config
         scratch = _Scratch()
-        ii = None
-        n = 0
-        for i, volume in enumerate(volumes):
-            v = np.asarray(volume, dtype=np.float64)
-            if v.ndim != 3:
-                raise ValueError(f"expected a 3-D volume, got shape {v.shape}")
-            if ii is None:
-                n = v.shape[0]
-                if v.shape != (n, n, n):
-                    raise ValueError(f"detail map must be a cube, got {v.shape}")
-                if n & (n - 1):
+        shape = np.shape(volumes[0])
+        if len(shape) != 3:
+            raise ValueError(f"expected a 3-D volume, got shape {shape}")
+
+        def masks():
+            for volume in volumes:
+                v = np.asarray(volume, dtype=np.float64)
+                if v.shape != shape:
                     raise ValueError(
-                        f"volume size must be a power of two, got {n}")
-                ii = np.zeros((len(volumes), n + 1, n + 1, n + 1),
-                              dtype=np.float64)
-            elif v.shape != (n, n, n):
-                raise ValueError("all volumes in a batch must share one shape")
-            inner = ii[i, 1:, 1:, 1:]
-            inner[...] = _detail_mask_exact(v, cfg.blur_sigma,
-                                            cfg.detail_quantile, scratch)
-            for ax in range(3):
-                np.cumsum(inner, axis=ax, out=inner)
-        return octree_frontier_batch(ii, cfg.split_value,
-                                     self._tree_depth(n),
-                                     min_size=cfg.patch_size)
+                        "all volumes in a batch must share one shape")
+                yield _detail_mask_exact(v, cfg.blur_sigma,
+                                         cfg.detail_quantile, scratch)
+
+        return build_tree_batch(masks(), cfg.split_value,
+                                self._tree_depth(shape[0]),
+                                min_size=cfg.patch_size)
 
     def _gather(self, v: np.ndarray, leaves: OctreeLeaves,
                 pm: int) -> np.ndarray:

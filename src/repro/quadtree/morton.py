@@ -47,8 +47,7 @@ def morton_encode(y, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.uint64))
     if (y >= (1 << _MAX_BITS)).any() or (x >= (1 << _MAX_BITS)).any():
         raise ValueError(f"coordinates exceed {_MAX_BITS}-bit Morton range")
-    code = (_part1by1(y) << np.uint64(1)) | _part1by1(x)
-    return code if code.size > 1 else code  # always an array
+    return (_part1by1(y) << np.uint64(1)) | _part1by1(x)
 
 
 def morton_decode(code) -> tuple:

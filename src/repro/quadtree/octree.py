@@ -2,24 +2,25 @@
 
 UNETR (the paper's carrier model) is natively 3-D, and the paper's related
 work cites octree transformers; extending Eq. 6 to volumes is the obvious
-future-work direction. The builder follows :func:`repro.quadtree.build_quadtree`:
-level-synchronous, with an O(1)-per-node 3-D summed-volume table. The leaf
-set is the same :class:`~repro.quadtree.tree.Leaves` table with a third
-corner axis, so reordering and the leaf statistics are shared.
+future-work direction. :func:`build_octree` is the 3-D name for the one
+level-synchronous 2^d-tree builder, :func:`repro.quadtree.tree.build_tree_batch`,
+which infers the dimension from the map and sums each cube in O(1) from a
+summed-volume table sampled on the ``min_size`` grid. The leaf set is the
+same :class:`~repro.quadtree.tree.Leaves` table with a third corner axis,
+so reordering and the leaf statistics are shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .tree import Leaves
+from .tree import Leaves, build_tree_batch
 
 __all__ = ["morton3d_encode", "morton3d_decode", "OctreeLeaves",
-           "build_octree", "build_octree_batch", "integral3d_batch",
-           "octree_frontier_batch"]
+           "build_octree"]
 
 _MAX_BITS = 16
 
@@ -88,190 +89,11 @@ class OctreeLeaves(Leaves):
                           kind="stable")
 
 
-def _integral3d(detail: np.ndarray) -> np.ndarray:
-    ii = detail.astype(np.float64)
-    for ax in range(3):
-        ii = np.cumsum(ii, axis=ax)
-    return np.pad(ii, ((1, 0), (1, 0), (1, 0)))
-
-
-def _region_sums3d(ii, zs, ys, xs, s):
-    z1, y1, x1 = zs + s, ys + s, xs + s
-    return (ii[z1, y1, x1] - ii[zs, y1, x1] - ii[z1, ys, x1] - ii[z1, y1, xs]
-            + ii[zs, ys, x1] + ii[zs, y1, xs] + ii[z1, ys, xs]
-            - ii[zs, ys, xs])
-
-
 def build_octree(detail: np.ndarray, split_value: float, max_depth: int,
                  min_size: int = 1) -> OctreeLeaves:
     """Eq. 6 generalized to volumes: split a cube while its detail mass
     exceeds ``split_value`` and depth/min-size limits allow."""
     detail = np.asarray(detail)
-    if detail.ndim != 3 or len(set(detail.shape)) != 1:
+    if detail.ndim != 3:
         raise ValueError(f"detail map must be a cube, got {detail.shape}")
-    n = detail.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"volume size must be a power of two, got {n}")
-    if min_size < 1 or (min_size & (min_size - 1)):
-        raise ValueError(f"min_size must be a positive power of two, got {min_size}")
-    if split_value < 0:
-        raise ValueError("split_value must be non-negative")
-
-    ii = _integral3d(detail)
-    leaves = {k: [] for k in ("z", "y", "x", "s", "d", "m")}
-    zs = np.zeros(1, dtype=np.int64)
-    ys = np.zeros(1, dtype=np.int64)
-    xs = np.zeros(1, dtype=np.int64)
-    size, depth, visited = n, 0, 0
-    while len(zs):
-        visited += len(zs)
-        sums = _region_sums3d(ii, zs, ys, xs, size)
-        can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
-        split = (sums > split_value) if can_split else np.zeros(len(zs), bool)
-        keep = ~split
-        if keep.any():
-            leaves["z"].append(zs[keep])
-            leaves["y"].append(ys[keep])
-            leaves["x"].append(xs[keep])
-            leaves["s"].append(np.full(int(keep.sum()), size, dtype=np.int64))
-            leaves["d"].append(np.full(int(keep.sum()), depth, dtype=np.int64))
-            leaves["m"].append(sums[keep])
-        if split.any():
-            sz, sy, sx = zs[split], ys[split], xs[split]
-            half = size // 2
-            offs = [(dz, dy, dx) for dz in (0, half) for dy in (0, half)
-                    for dx in (0, half)]
-            zs = np.concatenate([sz + dz for dz, _, _ in offs])
-            ys = np.concatenate([sy + dy for _, dy, _ in offs])
-            xs = np.concatenate([sx + dx for _, _, dx in offs])
-            size, depth = half, depth + 1
-        else:
-            break
-
-    return OctreeLeaves(np.concatenate(leaves["z"]), np.concatenate(leaves["y"]),
-                        np.concatenate(leaves["x"]), np.concatenate(leaves["s"]),
-                        np.concatenate(leaves["d"]), n, visited,
-                        np.concatenate(leaves["m"]))
-
-
-def _region_sums3d_batch(ii, bs, zs, ys, xs, s):
-    """Batched summed-volume lookup: ``ii`` is (B, Z+1, Z+1, Z+1)."""
-    z1, y1, x1 = zs + s, ys + s, xs + s
-    return (ii[bs, z1, y1, x1] - ii[bs, zs, y1, x1] - ii[bs, z1, ys, x1]
-            - ii[bs, z1, y1, xs] + ii[bs, zs, ys, x1] + ii[bs, zs, y1, xs]
-            + ii[bs, z1, ys, xs] - ii[bs, zs, ys, xs])
-
-
-def integral3d_batch(details: Sequence[np.ndarray]) -> np.ndarray:
-    """Stacked padded summed-volume tables: (B, Z+1, Z+1, Z+1).
-
-    Each slice equals :func:`_integral3d` of the corresponding detail map
-    bit-for-bit; the cumulative sums run in place on the target buffer, so
-    no per-volume temporaries are allocated.
-    """
-    b = len(details)
-    n = details[0].shape[0]
-    ii = np.zeros((b, n + 1, n + 1, n + 1), dtype=np.float64)
-    for i, d in enumerate(details):
-        inner = ii[i, 1:, 1:, 1:]
-        inner[...] = d
-        for ax in range(3):
-            np.cumsum(inner, axis=ax, out=inner)
-    return ii
-
-
-def build_octree_batch(details: Sequence[np.ndarray], split_value: float,
-                       max_depth: int, min_size: int = 1) -> List[OctreeLeaves]:
-    """Level-synchronous octree build over a whole batch of detail volumes.
-
-    The 3-D analogue of :func:`repro.quadtree.tree.build_quadtree_batch`: all
-    volumes share one frontier, so every depth issues a *single*
-    :func:`_region_sums3d_batch` call over the concatenated per-volume node
-    coordinates. Each returned :class:`OctreeLeaves` is **identical** (same
-    leaves, same build order, same ``nodes_visited``) to
-    ``build_octree(details[b], ...)`` — the child-block concatenation
-    preserves every volume's relative node order at each depth.
-
-    Parameters match :func:`build_octree`; all detail volumes must share one
-    cubic power-of-two shape.
-    """
-    if len(details) == 0:
-        return []
-    maps = [np.asarray(d) for d in details]
-    n = maps[0].shape[0]
-    for d in maps:
-        if d.ndim != 3 or d.shape != (n, n, n):
-            raise ValueError("all detail maps must share one cubic 3-D shape")
-    if n & (n - 1):
-        raise ValueError(f"volume size must be a power of two, got {n}")
-
-    return octree_frontier_batch(integral3d_batch(maps), split_value,
-                                 max_depth, min_size)
-
-
-def octree_frontier_batch(ii: np.ndarray, split_value: float, max_depth: int,
-                          min_size: int = 1) -> List[OctreeLeaves]:
-    """The shared-frontier traversal over precomputed integral tables.
-
-    ``ii`` is the (B, Z+1, Z+1, Z+1) stack from :func:`integral3d_batch`;
-    callers that already hold detail maps should use
-    :func:`build_octree_batch` instead. Parameter validation lives here so
-    every batched entry point rejects exactly what :func:`build_octree`
-    rejects.
-    """
-    if min_size < 1 or (min_size & (min_size - 1)):
-        raise ValueError(f"min_size must be a positive power of two, got {min_size}")
-    if split_value < 0:
-        raise ValueError("split_value must be non-negative")
-    b = ii.shape[0]
-    n = ii.shape[1] - 1
-
-    leaves = {k: [] for k in ("b", "z", "y", "x", "s", "d", "m")}
-    bs = np.arange(b, dtype=np.int64)
-    zs = np.zeros(b, dtype=np.int64)
-    ys = np.zeros(b, dtype=np.int64)
-    xs = np.zeros(b, dtype=np.int64)
-    size, depth = n, 0
-    visited = np.zeros(b, dtype=np.int64)
-    while len(bs):
-        visited += np.bincount(bs, minlength=b)
-        sums = _region_sums3d_batch(ii, bs, zs, ys, xs, size)
-        can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
-        split = (sums > split_value) if can_split else np.zeros(len(bs), bool)
-        keep = ~split
-        if keep.any():
-            leaves["b"].append(bs[keep])
-            leaves["z"].append(zs[keep])
-            leaves["y"].append(ys[keep])
-            leaves["x"].append(xs[keep])
-            leaves["s"].append(np.full(int(keep.sum()), size, dtype=np.int64))
-            leaves["d"].append(np.full(int(keep.sum()), depth, dtype=np.int64))
-            leaves["m"].append(sums[keep])
-        if split.any():
-            sb, sz, sy, sx = bs[split], zs[split], ys[split], xs[split]
-            half = size // 2
-            # Same child-block order as the single build's ``offs`` loop.
-            offs = [(dz, dy, dx) for dz in (0, half) for dy in (0, half)
-                    for dx in (0, half)]
-            bs = np.concatenate([sb] * 8)
-            zs = np.concatenate([sz + dz for dz, _, _ in offs])
-            ys = np.concatenate([sy + dy for _, dy, _ in offs])
-            xs = np.concatenate([sx + dx for _, _, dx in offs])
-            size, depth = half, depth + 1
-        else:
-            break
-
-    all_bs = np.concatenate(leaves["b"])
-    all_zs = np.concatenate(leaves["z"])
-    all_ys = np.concatenate(leaves["y"])
-    all_xs = np.concatenate(leaves["x"])
-    all_sizes = np.concatenate(leaves["s"])
-    all_depths = np.concatenate(leaves["d"])
-    all_details = np.concatenate(leaves["m"])
-    out = []
-    for i in range(b):
-        idx = np.flatnonzero(all_bs == i)  # preserves level-major build order
-        out.append(OctreeLeaves(all_zs[idx], all_ys[idx], all_xs[idx],
-                                all_sizes[idx], all_depths[idx], n,
-                                int(visited[i]), all_details[idx]))
-    return out
+    return build_tree_batch([detail], split_value, max_depth, min_size)[0]

@@ -17,14 +17,15 @@ paper claims (§IV-G.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rows import Rows
 from .morton import morton_sort_order
 
-__all__ = ["Leaves", "QuadtreeLeaves", "build_quadtree", "build_quadtree_batch",
+__all__ = ["Leaves", "QuadtreeLeaves", "build_quadtree", "build_tree_batch",
            "balance_2to1", "max_depth_for"]
 
 
@@ -137,40 +138,56 @@ class QuadtreeLeaves(Leaves):
 
 
 def _integral(detail: np.ndarray, step: int) -> np.ndarray:
-    """Summed-area table of ``detail`` sampled on the ``step`` grid.
+    """Summed table of a square or cubic ``detail`` map, sampled on the
+    ``step`` grid: entry ``[i, j, ...]`` is the sum of
+    ``detail[:i*step, :j*step, ...]``.
 
-    Entry ``[i, j]`` is the sum of ``detail[:i*step, :j*step]`` — exactly
-    the value the dense table ``pad(cumsum(cumsum(d, 0), 1))`` holds at
-    ``[i*step, j*step]``, for any float map: the rows accumulate in
-    ``cumsum``'s order (``acc += d[y]``), only every ``step``-th running
-    row is kept, and each kept row is summed along x in full before its
-    columns are subsampled. The builders query region sums only at
-    multiples of the smallest node size, so this costs O(Z²/step)
-    beyond the row pass instead of two dense O(Z²) scans and a copy.
+    Each entry equals bit for bit the value the dense table (``cumsum``
+    along every axis in turn, zero-padded) holds at ``[i*step, j*step,
+    ...]``, for any float map: axis 0 accumulates in ``cumsum``'s order
+    (``acc += d[y]``) keeping every ``step``-th running slice, and each
+    later axis is summed in full before it is sampled. The builder queries
+    region sums only at multiples of the smallest node size, so this costs
+    O(Z^d/step) beyond the axis-0 pass instead of d dense O(Z^d) scans.
     """
-    z = detail.shape[0]
+    z, nd = detail.shape[0], detail.ndim
     n = z // step
     if n == 0:
-        return np.zeros((1, 1), dtype=np.float64)
-    rows = np.empty((n, z), dtype=np.float64)
+        return np.zeros((1,) * nd, dtype=np.float64)
+    t = np.empty((n,) + detail.shape[1:], dtype=np.float64)
     acc = detail[0].astype(np.float64)
     for y in range(1, z):
         if y % step == 0:
-            rows[y // step - 1] = acc
+            t[y // step - 1] = acc
         acc += detail[y]
-    rows[n - 1] = acc
-    ii = np.zeros((n + 1, n + 1), dtype=np.float64)
-    ii[1:, 1:] = np.cumsum(rows, axis=1)[:, step - 1::step]
+    t[n - 1] = acc
+    for ax in range(1, nd):
+        sample = (slice(None),) * ax + (slice(step - 1, None, step),)
+        t = np.cumsum(t, axis=ax)[sample]
+    ii = np.zeros((n + 1,) * nd, dtype=np.float64)
+    ii[(slice(1, None),) * nd] = t
     return ii
 
 
-def _region_sums(ii: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                 size: int, step: int) -> np.ndarray:
-    """Sums over the ``size`` squares at pixel corners ``(ys, xs)``, all
-    multiples of ``step``, from the :func:`_integral` grid table."""
-    y0, x0 = ys // step, xs // step
-    y1, x1 = y0 + size // step, x0 + size // step
-    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+def _region_sums(flat: np.ndarray, base: np.ndarray, strides: Sequence[int],
+                 span: int) -> np.ndarray:
+    """Sums over the nodes whose low corners sit at offsets ``base`` into
+    the flattened stack of :func:`_integral` tables, ``span`` grid steps
+    wide.
+
+    Inclusion-exclusion over the 2^d corners: the all-high corner first,
+    then the corners with k low axes for k = 1..d, in
+    ``itertools.combinations`` order, accumulated left to right
+    (``ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]`` in 2-D).
+    """
+    axes = range(len(strides))
+    sums = flat[base + span * sum(strides)]
+    for n_low in range(1, len(strides) + 1):
+        for low in combinations(axes, n_low):
+            term = flat[base + span * sum(strides[a] for a in axes
+                                          if a not in low)]
+            sums = sums - term if n_low % 2 else sums + term
+    return sums
 
 
 def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
@@ -197,149 +214,94 @@ def build_quadtree(detail: np.ndarray, split_value: float, max_depth: int,
     ``sorted_by_morton()`` for the z-curve sequence).
     """
     detail = np.asarray(detail)
-    if detail.ndim != 2 or detail.shape[0] != detail.shape[1]:
+    if detail.ndim != 2:
         raise ValueError(f"detail map must be square 2-D, got {detail.shape}")
-    z = detail.shape[0]
-    if z & (z - 1):
-        raise ValueError(f"image size must be a power of two, got {z}")
-    if min_size < 1 or (min_size & (min_size - 1)):
-        raise ValueError(f"min_size must be a positive power of two, got {min_size}")
-    if split_value < 0:
-        raise ValueError("split_value must be non-negative")
-
-    step = max(min(min_size, z), 1)   # 1 only for an empty map
-    ii = _integral(detail, step)
-    leaf_ys, leaf_xs, leaf_sizes, leaf_depths, leaf_details = [], [], [], [], []
-    ys = np.zeros(1, dtype=np.int64)
-    xs = np.zeros(1, dtype=np.int64)
-    size = z
-    depth = 0
-    visited = 0
-    while len(ys):
-        visited += len(ys)
-        sums = _region_sums(ii, ys, xs, size, step)
-        can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
-        split = (sums > split_value) if can_split else np.zeros(len(ys), dtype=bool)
-        keep = ~split
-        if keep.any():
-            leaf_ys.append(ys[keep])
-            leaf_xs.append(xs[keep])
-            leaf_sizes.append(np.full(int(keep.sum()), size, dtype=np.int64))
-            leaf_depths.append(np.full(int(keep.sum()), depth, dtype=np.int64))
-            leaf_details.append(sums[keep])
-        if split.any():
-            sy, sx = ys[split], xs[split]
-            half = size // 2
-            # Child order NW, NE, SW, SE (paper Eq. 6).
-            ys = np.concatenate([sy, sy, sy + half, sy + half])
-            xs = np.concatenate([sx, sx + half, sx, sx + half])
-            size = half
-            depth += 1
-        else:
-            break
-
-    if leaf_ys:
-        out = QuadtreeLeaves(np.concatenate(leaf_ys), np.concatenate(leaf_xs),
-                             np.concatenate(leaf_sizes), np.concatenate(leaf_depths),
-                             z, visited, np.concatenate(leaf_details))
-    else:  # pragma: no cover - unreachable: loop always emits leaves
-        out = QuadtreeLeaves(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                             z, visited, np.zeros(0, dtype=np.float64))
-    return out
+    return build_tree_batch([detail], split_value, max_depth, min_size)[0]
 
 
-def _region_sums_batch(ii: np.ndarray, bs: np.ndarray, ys: np.ndarray,
-                       xs: np.ndarray, size: int, step: int) -> np.ndarray:
-    """Batched :func:`_region_sums`: ``ii`` stacks one grid table per image."""
-    y0, x0 = ys // step, xs // step
-    y1, x1 = y0 + size // step, x0 + size // step
-    return ii[bs, y1, x1] - ii[bs, y0, x1] - ii[bs, y1, x0] + ii[bs, y0, x0]
+def build_tree_batch(details: Iterable[np.ndarray], split_value: float,
+                     max_depth: int, min_size: int = 1) -> List[Leaves]:
+    """Level-synchronous Eq. 6 build over a batch of square (quadtree) or
+    cubic (octree) detail maps.
 
+    All maps share one frontier: every depth issues a single region-sum
+    lookup over the concatenated per-map nodes, so the per-level
+    NumPy dispatch is paid once per batch, not once per map. A node is
+    split into its 2^d children, emitted in
+    ``itertools.product((0, half), repeat=d)`` order (NW, NE, SW, SE in
+    2-D), so each returned leaf set — :class:`QuadtreeLeaves` for 2-D maps,
+    :class:`~repro.quadtree.octree.OctreeLeaves` for 3-D — is the same,
+    leaf for leaf and in the same level-major order, whatever else is in
+    the batch.
 
-def build_quadtree_batch(details: Sequence[np.ndarray], split_value: float,
-                         max_depth: int, min_size: int = 1) -> List[QuadtreeLeaves]:
-    """Level-synchronous quadtree build over a whole batch of detail maps.
-
-    All images of the batch share one frontier: every depth issues a *single*
-    :func:`_region_sums_batch` call over the concatenated per-image node
-    coordinates, so the per-level Python/NumPy dispatch overhead is amortized
-    across the batch instead of paid per image. Each returned
-    :class:`QuadtreeLeaves` is **identical** (same leaves, same build order,
-    same ``nodes_visited``) to ``build_quadtree(details[b], ...)`` — the
-    child-block concatenation ``[NW, NE, SW, SE]`` preserves every image's
-    relative node order at each depth.
-
-    Parameters match :func:`build_quadtree`; all detail maps must share one
-    square power-of-two shape.
+    ``details`` may be any iterable, a generator included: each map is
+    consumed into its summed table (:func:`_integral`) before the next is
+    drawn, so a caller can hand over maps that live in one reused buffer.
+    All maps must share one square or cubic power-of-two shape; the other
+    parameters are those of :func:`build_quadtree`.
     """
-    if len(details) == 0:
-        return []
-    maps = [np.asarray(d) for d in details]
-    z = maps[0].shape[0]
-    for d in maps:
-        if d.ndim != 2 or d.shape != (z, z):
-            raise ValueError("all detail maps must share one square 2-D shape")
-    if z & (z - 1):
-        raise ValueError(f"image size must be a power of two, got {z}")
     if min_size < 1 or (min_size & (min_size - 1)):
         raise ValueError(f"min_size must be a positive power of two, got {min_size}")
     if split_value < 0:
         raise ValueError("split_value must be non-negative")
+    tables, shape = [], None
+    for d in details:
+        d = np.asarray(d)
+        if shape is None:
+            shape = d.shape
+            z = shape[0] if d.ndim else 0
+            if d.ndim not in (2, 3) or shape != (z,) * d.ndim:
+                raise ValueError(
+                    f"detail map must be square 2-D or a cube, got {shape}")
+            if z & (z - 1):
+                raise ValueError(f"image size must be a power of two, got {z}")
+            step = max(min(min_size, z), 1)   # 1 only for an empty map
+        elif d.shape != shape:
+            raise ValueError("all detail maps must share one square 2-D or "
+                             "cubic 3-D shape")
+        tables.append(_integral(d, step))
+    if not tables:
+        return []
+    if len(shape) == 2:
+        cls = QuadtreeLeaves
+    else:
+        from .octree import OctreeLeaves as cls
+    nd, b = len(shape), len(tables)
+    flat = np.stack(tables).reshape(-1)
+    side = tables[0].shape[0]
+    strides = [side ** (nd - 1 - a) for a in range(nd)]
 
-    b = len(maps)
-    # Per-image integral images (cache-friendly), stacked for batched lookup.
-    step = max(min(min_size, z), 1)   # 1 only for an empty map
-    n = z // step
-    ii = np.empty((b, n + 1, n + 1), dtype=np.float64)
-    for i, d in enumerate(maps):
-        ii[i] = _integral(d, step)
-
-    leaf_bs, leaf_ys, leaf_xs, leaf_sizes, leaf_depths, leaf_details = \
-        [], [], [], [], [], []
-    bs = np.arange(b, dtype=np.int64)
-    ys = np.zeros(b, dtype=np.int64)
-    xs = np.zeros(b, dtype=np.int64)
-    size = z
-    depth = 0
-    visited = np.zeros(b, dtype=np.int64)
-    while len(bs):
-        visited += np.bincount(bs, minlength=b)
-        sums = _region_sums_batch(ii, bs, ys, xs, size, step)
+    # The frontier is each node's low-corner offset into ``flat``; a
+    # child's offset is its parent's plus one constant per child block.
+    nodes = np.arange(b, dtype=np.int64) * side ** nd
+    found, size, depth = [], z, 0
+    while True:
+        sums = _region_sums(flat, nodes, strides, size // step)
         can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
-        split = (sums > split_value) if can_split else np.zeros(len(bs), dtype=bool)
+        split = (sums > split_value) if can_split else np.zeros(len(nodes), bool)
         keep = ~split
-        if keep.any():
-            leaf_bs.append(bs[keep])
-            leaf_ys.append(ys[keep])
-            leaf_xs.append(xs[keep])
-            leaf_sizes.append(np.full(int(keep.sum()), size, dtype=np.int64))
-            leaf_depths.append(np.full(int(keep.sum()), depth, dtype=np.int64))
-            leaf_details.append(sums[keep])
-        if split.any():
-            sb, sy, sx = bs[split], ys[split], xs[split]
-            half = size // 2
-            # Child order NW, NE, SW, SE — same blocks as the single build.
-            bs = np.concatenate([sb, sb, sb, sb])
-            ys = np.concatenate([sy, sy, sy + half, sy + half])
-            xs = np.concatenate([sx, sx + half, sx, sx + half])
-            size = half
-            depth += 1
-        else:
+        found.append((nodes[keep], sums[keep]))
+        if not split.any():
             break
+        half = size // 2 // step   # in table cells
+        parents = nodes[split]
+        nodes = np.concatenate([
+            parents + sum(o * st for o, st in zip(offs, strides))
+            for offs in product((0, half), repeat=nd)])
+        size, depth = size // 2, depth + 1
 
-    all_bs = np.concatenate(leaf_bs)
-    all_ys = np.concatenate(leaf_ys)
-    all_xs = np.concatenate(leaf_xs)
-    all_sizes = np.concatenate(leaf_sizes)
-    all_depths = np.concatenate(leaf_depths)
-    all_details = np.concatenate(leaf_details)
+    counts = [len(s) for _, s in found]   # leaves per depth
+    offsets, sums = (np.concatenate(col) for col in zip(*found))
+    bs, *cells = np.unravel_index(offsets, (b,) + (side,) * nd)
+    depths = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    sizes = z >> depths
     out = []
     for i in range(b):
-        idx = np.flatnonzero(all_bs == i)  # preserves level-major build order
-        out.append(QuadtreeLeaves(all_ys[idx], all_xs[idx], all_sizes[idx],
-                                  all_depths[idx], z, int(visited[i]),
-                                  all_details[idx]))
+        idx = np.flatnonzero(bs == i)  # preserves level-major build order
+        # Every node visited became a leaf or split into 2^d children.
+        visited = len(idx) + (len(idx) - 1) // (2 ** nd - 1)
+        out.append(cls(*(c[idx] * step for c in cells), sizes[idx],
+                       depths[idx], z, visited, sums[idx]))
     return out
 
 

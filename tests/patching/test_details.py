@@ -11,8 +11,7 @@ import numpy as np
 from repro.data import generate_wsi
 from repro.patching import AdaptivePatcher, VolumetricAdaptivePatcher
 from repro.quadtree import (balance_2to1, build_octree, build_quadtree,
-                            build_quadtree_batch)
-from repro.quadtree.octree import build_octree_batch
+                            build_tree_batch)
 
 
 def corner_image(z=64, seed=0):
@@ -50,8 +49,8 @@ class TestQuadtreeDetails:
 
     def test_batch_builder_matches_reference_bitwise(self):
         ds = [detail_map(generate_wsi(64, seed=s).image) for s in range(3)]
-        batched = build_quadtree_batch(np.stack(ds), split_value=8.0,
-                                       max_depth=10, min_size=4)
+        batched = build_tree_batch(np.stack(ds), split_value=8.0,
+                                   max_depth=10, min_size=4)
         for d, got in zip(ds, batched):
             ref = build_quadtree(d, split_value=8.0, max_depth=10, min_size=4)
             np.testing.assert_array_equal(got.sorted_by_morton().details,
@@ -86,8 +85,8 @@ class TestOctreeDetails:
 
     def test_batch_frontier_matches_reference(self):
         ds = np.stack([self._vol(0), self._vol(1)])
-        for ref_d, got in zip(ds, build_octree_batch(ds, split_value=0.5,
-                                                     max_depth=6, min_size=4)):
+        for ref_d, got in zip(ds, build_tree_batch(ds, split_value=0.5,
+                                                   max_depth=6, min_size=4)):
             ref = build_octree(ref_d, split_value=0.5, max_depth=6, min_size=4)
             np.testing.assert_array_equal(got.sorted_by_morton().details,
                                           ref.sorted_by_morton().details)

@@ -13,7 +13,7 @@ from repro.patching import AdaptivePatcher, APFConfig
 from repro.pipeline import BatchedAdaptivePatcher
 from repro.pipeline.batched import (_blur3_exact, _screen_candidates,
                                     _sparse_canny)
-from repro.quadtree import build_quadtree, build_quadtree_batch
+from repro.quadtree import build_quadtree, build_tree_batch
 
 
 def images(res, n, start=0):
@@ -134,7 +134,7 @@ class TestBatchedTree:
     def test_batch_matches_single_builds(self):
         details = [(generate_wsi(64, seed=s).image.mean(axis=2) > 0.5)
                    .astype(np.float64) for s in range(5)]
-        batch = build_quadtree_batch(details, 4.0, 4, min_size=2)
+        batch = build_tree_batch(details, 4.0, 4, min_size=2)
         for d, t in zip(details, batch):
             ref = build_quadtree(d, 4.0, 4, min_size=2)
             np.testing.assert_array_equal(t.ys, ref.ys)
@@ -145,11 +145,11 @@ class TestBatchedTree:
             assert t.size == ref.size
 
     def test_empty_batch(self):
-        assert build_quadtree_batch([], 1.0, 4) == []
+        assert build_tree_batch([], 1.0, 4) == []
 
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
-            build_quadtree_batch([np.zeros((8, 8)), np.zeros((16, 16))], 1.0, 3)
+            build_tree_batch([np.zeros((8, 8)), np.zeros((16, 16))], 1.0, 3)
 
 
 CONFIGS = [

@@ -235,16 +235,6 @@ class TestWorkerDeterminism:
         np.testing.assert_array_equal(a.valid, b.valid)
         np.testing.assert_array_equal(a.coords, b.coords)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_process_executor_matches(self, workers):
-        imgs = images(64, 5)
-        base = PatchPipeline(patch_size=4, split_value=2.0, cache_items=0)
-        procs = PatchPipeline(patch_size=4, split_value=2.0, cache_items=0,
-                              workers=workers, executor="process")
-        for a, b in zip(base.process(imgs), procs.process(imgs)):
-            np.testing.assert_array_equal(a.patches, b.patches)
-            np.testing.assert_array_equal(a.ys, b.ys)
-
     def test_drops_invariant_to_batch_composition(self):
         # Same key + epoch => same drop pattern regardless of where the
         # image lands in a batch or how large the batch is.
@@ -270,8 +260,6 @@ class TestWorkerDeterminism:
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             PatchPipeline(workers=-1)
-        with pytest.raises(ValueError):
-            PatchPipeline(executor="mpi")
 
 
 class TestCollation:

@@ -11,7 +11,7 @@ from repro.models import VolumeViTSegmenter
 from repro.patching import VolumeAPFConfig, VolumetricAdaptivePatcher
 from repro.pipeline import (BatchedVolumetricPatcher, CollatedBatch,
                             PatchPipeline)
-from repro.quadtree import build_octree, build_octree_batch
+from repro.quadtree import build_octree, build_tree_batch
 from repro.train import (Trainer, VolumeSegmentationTask, predict_volume,
                          predict_volume_batched)
 
@@ -79,7 +79,7 @@ class TestBatchedOctree:
         rng = np.random.default_rng(0)
         details = [(rng.random((16, 16, 16)) > 0.95).astype(float)
                    for _ in range(5)]
-        batch = build_octree_batch(details, 2.0, 3, min_size=2)
+        batch = build_tree_batch(details, 2.0, 3, min_size=2)
         for d, t in zip(details, batch):
             ref = build_octree(d, 2.0, 3, min_size=2)
             np.testing.assert_array_equal(t.zs, ref.zs)
@@ -91,16 +91,16 @@ class TestBatchedOctree:
             assert t.size == ref.size
 
     def test_empty_batch(self):
-        assert build_octree_batch([], 1.0, 3) == []
+        assert build_tree_batch([], 1.0, 3) == []
 
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
-            build_octree_batch([np.zeros((8, 8, 8)), np.zeros((16, 16, 16))],
-                               1.0, 3)
+            build_tree_batch([np.zeros((8, 8, 8)), np.zeros((16, 16, 16))],
+                             1.0, 3)
 
     def test_rejects_non_pow2(self):
         with pytest.raises(ValueError):
-            build_octree_batch([np.zeros((12, 12, 12))], 1.0, 3)
+            build_tree_batch([np.zeros((12, 12, 12))], 1.0, 3)
 
 
 CONFIGS = [

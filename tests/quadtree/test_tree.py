@@ -1,13 +1,15 @@
 """Tests for the Eq. 6 quadtree builder: tiling invariants, split semantics,
 depth limits, and the 2:1 balance pass."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quadtree import (balance_2to1, build_quadtree, build_quadtree_batch,
-                            max_depth_for, morton_encode)
+from repro.quadtree import (balance_2to1, build_octree, build_quadtree,
+                            build_tree_batch, max_depth_for, morton_encode)
 
 
 def center_blob(z=64, r=6):
@@ -197,21 +199,55 @@ class TestProperties:
         assert sorted(order) == list(range(len(leaves)))
 
 
-def _dense_integral(detail, step):
-    """The dense summed-area table the builders used before the grid
-    table (kept here as the reference; ``step`` is ignored)."""
-    ii = np.cumsum(np.cumsum(detail.astype(np.float64), axis=0), axis=1)
-    return np.pad(ii, ((1, 0), (1, 0)))
+def _dense_table(detail):
+    """The dense zero-padded summed table: ``cumsum`` along every axis."""
+    ii = np.asarray(detail).astype(np.float64)
+    for ax in range(ii.ndim):
+        ii = np.cumsum(ii, axis=ax)
+    return np.pad(ii, [(1, 0)] * ii.ndim)
 
 
-def _dense_region_sums(ii, ys, xs, size, step):
-    y1, x1 = ys + size, xs + size
-    return ii[y1, x1] - ii[ys, x1] - ii[y1, xs] + ii[ys, xs]
+def _dense_build(detail, v, max_depth, min_size):
+    """Reference Eq. 6 build, one node at a time over the dense table.
+
+    Returns the leaves as ``(corner, size, depth, mass)`` in level-major
+    order (children in ``product((0, half), repeat=d)`` blocks) and the
+    number of nodes visited."""
+    ii = _dense_table(detail)
+    z, nd = detail.shape[0], detail.ndim
+    level, leaves, visited, depth = [(0,) * nd], [], 0, 0
+    while level:
+        size, nxt = z >> depth, []
+        for c in level:
+            visited += 1
+            hi = tuple(a + size for a in c)
+            m = ii[hi]
+            for k in range(1, nd + 1):
+                for low in combinations(range(nd), k):
+                    t = ii[tuple(c[a] if a in low else hi[a]
+                                 for a in range(nd))]
+                    m = m - t if k % 2 else m + t
+            if (depth < max_depth and size // 2 >= min_size and size > 1
+                    and m > v):
+                nxt.append(c)
+            else:
+                leaves.append((c, size, depth, m))
+        level = [tuple(a + o for a, o in zip(c, off))
+                 for off in product((0, size // 2), repeat=nd) for c in nxt]
+        depth += 1
+    return leaves, visited
+
+
+def _wide(rng, shape):
+    a = rng.random(shape) ** 3 * 10.0 ** rng.integers(-6, 7, shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    return a
 
 
 class TestPatchGridIntegral:
-    """Region sums from the patch-grid table must equal the dense table's
-    bit for bit on float maps, where summation order is visible."""
+    """The summed table sampled on the ``min_size`` grid, and the trees
+    built from it, must equal the dense table's bit for bit on float maps,
+    where summation order is visible."""
 
     @staticmethod
     def _maps(z, seed):
@@ -221,39 +257,52 @@ class TestPatchGridIntegral:
         rng = np.random.default_rng(seed)
         g = to_grayscale(np.asarray(generate_wsi(max(z, 32), seed=seed).image,
                                     dtype=np.float64))[:z, :z]
-        wide = rng.random((z, z)) ** 3 * 10.0 ** rng.integers(-6, 7, (z, z))
-        wide[rng.random((z, z)) < 0.2] = 0.0
+        wide = _wide(rng, (z, z))
         return [_variance_detail(gaussian_blur(g, 3), window=2) * 16.0,
                 wide, wide.astype(np.float32), rng.random((z, z)) > 0.7]
+
+    @staticmethod
+    def _volumes(z, seed):
+        rng = np.random.default_rng(seed)
+        wide = _wide(rng, (z, z, z))
+        return [wide, wide.astype(np.float32), rng.random((z, z, z)) > 0.8]
+
+    @staticmethod
+    def _check(maps, z, min_size):
+        import repro.quadtree.tree as tree
+        step = min(min_size, z)
+        depth = max_depth_for(z, 1)
+        for d in maps:
+            sample = (slice(None, None, step),) * d.ndim
+            np.testing.assert_array_equal(
+                tree._integral(d, step).view(np.uint64),
+                _dense_table(d)[sample].view(np.uint64))
+            # A split value per map, so every map splits to mixed depths.
+            v = float(np.asarray(d, np.float64).sum()) / z
+            flipped = np.flip(d, 0)
+            single = build_quadtree if d.ndim == 2 else build_octree
+            got = [single(m, v, depth, min_size) for m in (d, flipped)]
+            batch = build_tree_batch([d, flipped], v, depth, min_size)
+            for m, g, b in zip((d, flipped), got, batch):
+                leaves, visited = _dense_build(m, v, depth, min_size)
+                corners, sizes, depths, sums = zip(*leaves)
+                for t in (g, b):
+                    np.testing.assert_array_equal(
+                        np.stack([getattr(t, a) for a in t.AXES], 1), corners)
+                    np.testing.assert_array_equal(t.sizes, sizes)
+                    np.testing.assert_array_equal(t.depths, depths)
+                    np.testing.assert_array_equal(
+                        t.details.view(np.uint64),
+                        np.array(sums).view(np.uint64))
+                    assert t.nodes_visited == visited
 
     @pytest.mark.parametrize("z,min_size", [(32, 1), (32, 2), (64, 4),
                                             (64, 8), (8, 8), (8, 16),
                                             (4, 32)])
-    def test_matches_dense_table(self, monkeypatch, z, min_size):
-        import repro.quadtree.tree as tree
-        maps = self._maps(z, seed=z + min_size)
-        step = min(min_size, z)
-        depth = max_depth_for(z, 1)
-        for d in maps:
-            dense = _dense_integral(d, step)
-            np.testing.assert_array_equal(
-                tree._integral(d, step).view(np.uint64),
-                dense[::step, ::step].view(np.uint64))
-        # One split value per map, so every map splits to mixed depths.
-        splits = [float(np.asarray(d, np.float64).sum()) / z for d in maps]
-        got = [build_quadtree(d, v, depth, min_size)
-               for d, v in zip(maps, splits)]
-        batches = [build_quadtree_batch([d, d[::-1]], v, depth, min_size)
-                   for d, v in zip(maps, splits)]
-        monkeypatch.setattr(tree, "_integral", _dense_integral)
-        monkeypatch.setattr(tree, "_region_sums", _dense_region_sums)
-        for d, v, g, b in zip(maps, splits, got, batches):
-            refs = [build_quadtree(d, v, depth, min_size),
-                    build_quadtree(d[::-1], v, depth, min_size)]
-            for t, ref in [(g, refs[0])] + list(zip(b, refs)):
-                for name in ("ys", "xs", "sizes", "depths"):
-                    np.testing.assert_array_equal(getattr(t, name),
-                                                  getattr(ref, name))
-                assert t.nodes_visited == ref.nodes_visited
-                np.testing.assert_array_equal(t.details.view(np.uint64),
-                                              ref.details.view(np.uint64))
+    def test_matches_dense_table(self, z, min_size):
+        self._check(self._maps(z, seed=z + min_size), z, min_size)
+
+    @pytest.mark.parametrize("z,min_size", [(16, 1), (16, 2), (16, 4),
+                                            (8, 8), (4, 16)])
+    def test_matches_dense_table_3d(self, z, min_size):
+        self._check(self._volumes(z, seed=z + min_size), z, min_size)

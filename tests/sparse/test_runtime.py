@@ -40,9 +40,19 @@ class TestOffIsUntouched:
         assert "sparsity" not in p.stats
 
     def test_default_is_byte_identical_to_baseline(self):
+        # Built without passing sparsity= at all: the real default.
+        model = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1,
+                             heads=2, max_len=256,
+                             rng=np.random.default_rng(1))
+        pipe = PatchPipeline(patch_size=4, split_value=SPLIT, channels=1,
+                             cache_items=8)
+        p = Predictor(model, pipe, max_batch=3, bucket=4)
+        assert p.sparsity is None
+        assert "sparsity" not in p.stats
         img = corner_image()
-        np.testing.assert_array_equal(_predictor().predict_image(img),
-                                      _predictor(None).predict_image(img))
+        np.testing.assert_array_equal(
+            p.predict_image(img),
+            _predictor(SparsityConfig(mode="dense")).predict_image(img))
 
 
 class TestDensePlanIsBitwise:

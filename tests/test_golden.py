@@ -3,7 +3,8 @@
 The equivalence suites prove the *batched* engines match the *reference*
 implementations — but both could drift together if a refactor changed the
 reference itself. These digests pin the reference outputs for fixed seeds:
-Canny edge masks, quadtree leaf layouts, octree leaf layouts, and every
+Canny edge masks, quadtree leaf layouts, octree leaf layouts, every leaf
+field of the 2-D and 3-D tree builds (single and batched), and every
 field of the reordered, dropped, padded and subset leaf sets and sequences.
 A kernel refactor that silently changes any output (one flipped edge pixel,
 one re-ordered leaf, one widened dtype) fails here.
@@ -14,6 +15,7 @@ in the same commit, explaining why in the commit message.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -25,6 +27,8 @@ from repro.imaging.canny import canny_edges
 from repro.patching import (AdaptivePatcher, APFConfig, PatchSequence,
                             VolumeAPFConfig, VolumeSequence,
                             VolumetricAdaptivePatcher)
+from repro.patching.adaptive import _variance_detail
+from repro.quadtree import build_octree, build_quadtree, build_tree_batch
 from repro.sparse import take_tokens
 
 
@@ -119,6 +123,95 @@ class TestOctreeGolden:
             got = digest(leaves.zs, leaves.ys, leaves.xs, leaves.sizes,
                          leaves.depths)
             assert got == OCTREE_GOLDEN[seed]
+
+
+def _wide(rng, shape, dtype):
+    """Values over twelve decades with a fifth exact zeros: region sums of
+    such maps show any change in summation order."""
+    a = rng.random(shape) ** 3 * 10.0 ** rng.integers(-6, 7, shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    return a.astype(dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_golden_cases():
+    """``{name: (detail maps, split value, min_size)}`` for the builder
+    golden: a Canny-bool, a variance-float64 and a wide float32 map in 2-D,
+    a gradient-mask and a wide float64 volume in 3-D. Each case builds the
+    map, its flip and its transpose, and splits to mixed depths."""
+    rng = np.random.default_rng(22)
+    g = to_grayscale(np.asarray(generate_wsi(64, seed=3).image,
+                                dtype=np.float64))
+    blurred = gaussian_blur(g, 3)
+    maps = {"2d.canny": canny_edges(blurred * 255.0, 100.0, 200.0),
+            "2d.variance": _variance_detail(blurred, window=2) * 16.0,
+            "2d.float32": _wide(rng, (64, 64), np.float32)}
+    vol = generate_ct_volume(32, 32, seed=3).volume
+    maps["3d.mask"] = VolumetricAdaptivePatcher().detail_map(vol) > 0
+    zz, yy, xx = np.mgrid[:16, :16, :16] - 5.5
+    maps["3d.float64"] = _wide(rng, (16, 16, 16), np.float64) * (
+        zz ** 2 + yy ** 2 + xx ** 2 < 30)
+    cases = {}
+    for name, m in maps.items():
+        batch = [m, np.flip(m, 0).copy(), np.swapaxes(m, 0, -1).copy()]
+        split = float(np.asarray(m, np.float64).sum()) / (4 * m.shape[0])
+        for min_size in ((1, 2, 4, 8) if m.ndim == 2 else (1, 2, 4)):
+            cases[f"{name}.ms{min_size}"] = (batch, split, min_size)
+    return cases
+
+
+def leaves_sha256(trees) -> str:
+    """sha256 over every row field of each leaf set, in build order, with
+    its name, shape and dtype, plus ``size`` and ``nodes_visited``."""
+    h = hashlib.sha256()
+    for t in trees:
+        for name in t.ROWS:
+            a = np.ascontiguousarray(getattr(t, name))
+            h.update(f"{name}{a.shape}{a.dtype.str}".encode())
+            h.update(a.tobytes())
+        h.update(f"size={t.size} visited={t.nodes_visited}".encode())
+    return h.hexdigest()
+
+
+#: leaves_sha256 of each :func:`_tree_golden_cases` build, recorded with
+#: the separate quadtree and octree builders that preceded the shared
+#: 2^d-tree frontier. Pins ``details`` bytes and ``nodes_visited`` too:
+#: ``details`` drives the sparsity short-circuit.
+TREE_BUILD_GOLDEN = {
+    "2d.canny.ms1": "5f72b07b9f50989c079df6fe2265455c16d44db16d48f3f34a9b00de3228691e",
+    "2d.canny.ms2": "badb9cbf20e1f49912fca00f47b2505b0f05fc60e2347135a607e4a8590e3e8e",
+    "2d.canny.ms4": "f45e064acef682c389188e5c078b9665a93fe3f1ad3c4b2c3c115d6e6de5671c",
+    "2d.canny.ms8": "905aa598c701db7b559aff9ecb9705711b8638ce1130d1e9e5af456807db730d",
+    "2d.variance.ms1": "93b4e8054064d22d5e43e330f3249a1d5974fd5ec0fb2e4bbaa1ebd69c6d8c13",
+    "2d.variance.ms2": "3f27dd29d7459550ad5bdf09eeec9f018eca00a9840dbee5853bc81fe058518f",
+    "2d.variance.ms4": "8cffa294d306a5182e2855de8018efacbfe8959dedf496218527daf5fec9e61b",
+    "2d.variance.ms8": "e2499165e834134bf75389f5faffc88c624fc11ff47ab13569613b68c7011951",
+    "2d.float32.ms1": "478404e167fedfc1dd375dbab78071bc9ee7770e36593e7cc4246bbb4b4f132f",
+    "2d.float32.ms2": "083f25234ddcb7be630f21f6a29ca7918a68ff1e048a67a65f75f3e64e66706d",
+    "2d.float32.ms4": "167c5a3fcc6c0cf28a64e7110766d0ff444421fec6bccc70ad736144816739e9",
+    "2d.float32.ms8": "11d2b9b3d6267147d1906c67ec1d0defd9bba3b66973e1f96b648b12a4a2e991",
+    "3d.mask.ms1": "2138aea58c37bc7aa0936920693bef244ab3e490cc2cf3aedbbf505a3672c36c",
+    "3d.mask.ms2": "20506fe006d84802899a027d73dcb3a23785bd442aff553c098c693267988a27",
+    "3d.mask.ms4": "a65dec3c0e28997ecc972854d6025714b9c4545ee4d55f47aaa0759dfe0151eb",
+    "3d.float64.ms1": "51418119942b81e8bf04b93e4624afab6fb5251929fa3ff90339830a56c5bf76",
+    "3d.float64.ms2": "c34a83a7ed21b6cf1aebf483c6e718fe2e2d668cb8771b6a5014603de6936357",
+    "3d.float64.ms4": "ef94daead7356b9f99fcd6a0e06ff40530c1404fe0cb83db4eff685d1dc1976f",
+}
+
+
+class TestTreeBuildGolden:
+    @pytest.mark.parametrize("name", list(TREE_BUILD_GOLDEN))
+    def test_single_and_batched_builds_match_golden(self, name):
+        """Regenerate: leaves_sha256 of the per-map builds of each case."""
+        batch, split, min_size = _tree_golden_cases()[name]
+        depth = batch[0].shape[0].bit_length() - 1
+        single = build_quadtree if batch[0].ndim == 2 else build_octree
+        got = leaves_sha256([single(m, split, depth, min_size)
+                             for m in batch])
+        assert got == TREE_BUILD_GOLDEN[name], (
+            f"tree build changed for {name} (new digest {got})")
+        assert leaves_sha256(build_tree_batch(batch, split, depth,
+                                              min_size)) == got
 
 
 #: content_key values as computed by hashing ``a.tobytes()``: hashing the
