@@ -15,7 +15,7 @@ from repro.data import generate_wsi
 from repro.experiments import ascii_mask
 from repro.metrics import dice_score
 from repro.models import ViTSegmenter
-from repro.patching import AdaptivePatcher, UniformPatcher
+from repro.patching import AdaptivePatcher, UniformPatcher, patchify_labels
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
     model = ViTSegmenter(patch_size=4, channels=1, dim=32, depth=2, heads=2,
                          max_len=256, rng=np.random.default_rng(1))
     opt = nn.AdamW(model.parameters(), lr=3e-3)
-    targets = patcher.patchify_labels(sample.mask, seq).reshape(1, len(seq), -1)
+    targets = patchify_labels(sample.mask, seq).reshape(1, len(seq), -1)
     for epoch in range(30):
         opt.zero_grad()
         logits = model.forward_sequences([seq])

@@ -104,7 +104,7 @@ class ViTSegmenter(nn.Module):
 
     Each token predicts a ``Pm x Pm`` logit map for its own patch footprint;
     training is supervised directly at token level (targets from
-    ``AdaptivePatcher.patchify_labels``), and full-resolution masks are
+    :func:`repro.patching.patchify_labels`), and full-resolution masks are
     reconstructed by scattering token predictions back through the quadtree
     geometry.
     """
@@ -158,7 +158,7 @@ class VolumeViTSegmenter(nn.Module):
 
     The volumetric counterpart of :class:`ViTSegmenter`: each token predicts
     a ``Pm³`` logit cube for its own footprint, supervised at token level
-    (targets from ``VolumetricAdaptivePatcher.patchify_labels``); full
+    (targets from :func:`repro.patching.patchify_labels`); full
     volumes are reconstructed by scattering token predictions back through
     the octree geometry. The backbone is the same unmodified ViT — only the
     token and coordinate widths change (``Pm³`` and 4).

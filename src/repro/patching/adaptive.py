@@ -23,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..imaging import canny_edges, downscale_pow2, gaussian_blur, to_grayscale
+from ..imaging import canny_edges, gaussian_blur, to_grayscale
 from ..imaging.filters import KSIZE_FOR_RESOLUTION
 from ..quadtree import QuadtreeLeaves, balance_2to1, build_quadtree
 from .sequence import PatchSequence
+from .transfer import gather
 
 __all__ = ["APFConfig", "AdaptivePatcher", "TreePatcher"]
 
@@ -207,7 +208,7 @@ class AdaptivePatcher(TreePatcher):
         img = np.asarray(image, dtype=np.float64)
         if img.ndim == 2:
             img = img[:, :, None]
-        h, w, c = img.shape
+        h, w = img.shape[:2]
         if h != w:
             raise ValueError(f"expected square image, got {img.shape}")
         if leaves is None:
@@ -221,26 +222,8 @@ class AdaptivePatcher(TreePatcher):
 
         pm = cfg.patch_size
         n = len(leaves)
-        patches = np.zeros((n, c, pm, pm), dtype=np.float64)
-        # Group leaves by size so each group downsamples in one vector op.
-        for s in np.unique(leaves.sizes):
-            idx = np.flatnonzero(leaves.sizes == s)
-            s = int(s)
-            # Gather all leaves of side s into one (k, s, s, c) stack.
-            offs_y = leaves.ys[idx][:, None, None]
-            offs_x = leaves.xs[idx][:, None, None]
-            yy = offs_y + np.arange(s)[None, :, None]
-            xx = offs_x + np.arange(s)[None, None, :]
-            stack = img[yy, xx]                          # (k, s, s, c)
-            if s > pm:
-                f = s // pm
-                stack = stack.reshape(len(idx), pm, f, pm, f, c).mean(axis=(2, 4))
-            elif s < pm:  # cannot happen: builder enforces min_size=pm
-                raise AssertionError("leaf smaller than model patch size")
-            patches[idx] = stack.transpose(0, 3, 1, 2)
-
         seq = PatchSequence(
-            patches=patches,
+            patches=gather(img, leaves, pm),
             ys=leaves.ys.copy(), xs=leaves.xs.copy(), sizes=leaves.sizes.copy(),
             valid=np.ones(n, dtype=bool),
             image_size=h, patch_size=pm, n_real=n,
@@ -249,25 +232,3 @@ class AdaptivePatcher(TreePatcher):
         if cfg.target_length is not None:
             seq = self.fit_length(seq, cfg.target_length)
         return seq
-
-    def patchify_labels(self, mask: np.ndarray, seq: PatchSequence) -> np.ndarray:
-        """Project a full-resolution label mask onto the token layout of ``seq``.
-
-        Returns (L, 1, Pm, Pm) soft targets: each leaf's mask region is
-        area-downscaled to Pm, so supervision is aligned with the inputs
-        (large homogeneous leaves yield fractional coverage values).
-        Padded slots are zeros.
-        """
-        m = np.asarray(mask, dtype=np.float64)
-        if m.ndim == 3:
-            m = m[:, :, 0]
-        pm = seq.patch_size
-        out = np.zeros((len(seq), 1, pm, pm), dtype=np.float64)
-        for i in np.flatnonzero(seq.valid):
-            s = int(seq.sizes[i])
-            y, x = int(seq.ys[i]), int(seq.xs[i])
-            region = m[y:y + s, x:x + s]
-            if s > pm:
-                region = downscale_pow2(region, s // pm)
-            out[i, 0] = region
-        return out

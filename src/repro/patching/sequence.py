@@ -48,6 +48,7 @@ class PatchSequence(Rows):
     """
 
     ROWS = ("patches", "ys", "xs", "sizes", "valid", "details")
+    AXES = ("ys", "xs")
 
     patches: np.ndarray
     ys: np.ndarray
@@ -136,29 +137,4 @@ class PatchSequence(Rows):
                 factor = pm // s
                 up = patch.reshape(k, s, factor, s, factor).mean(axis=(2, 4))
             out[:, y:y + s, x:x + s] = up
-        return out
-
-    def scatter_tokens_to_grid(self, features: np.ndarray,
-                               grid_cell: Optional[int] = None) -> np.ndarray:
-        """Scatter token feature vectors onto a regular grid (decoder input).
-
-        Each token's (D,) feature is broadcast over its leaf footprint on a
-        ``Z/grid_cell`` x ``Z/grid_cell`` grid. This converts the irregular
-        adaptive layout into the regular spatial map a UNETR-style decoder
-        expects, without touching the encoder.
-        """
-        f = np.asarray(features)
-        if f.ndim != 2 or len(f) != len(self):
-            raise ValueError("features must be (L, D) matching the sequence")
-        cell = grid_cell or self.patch_size
-        z = self.image_size
-        if z % cell:
-            raise ValueError(f"grid_cell {cell} must divide image size {z}")
-        g = z // cell
-        out = np.zeros((f.shape[1], g, g), dtype=np.float64)
-        for i in np.flatnonzero(self.valid):
-            s = int(self.sizes[i])
-            y0, x0 = int(self.ys[i]) // cell, int(self.xs[i]) // cell
-            span = max(s // cell, 1)
-            out[:, y0:y0 + span, x0:x0 + span] = f[i][:, None, None]
         return out

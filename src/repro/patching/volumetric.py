@@ -38,6 +38,7 @@ class VolumeSequence(Rows):
     """
 
     ROWS = ("patches", "zs", "ys", "xs", "sizes", "valid", "details")
+    AXES = ("zs", "ys", "xs")
 
     patches: np.ndarray            #: (L, Pm, Pm, Pm)
     zs: np.ndarray
@@ -197,25 +198,3 @@ class VolumetricAdaptivePatcher(TreePatcher):
                 cube = cube.reshape(pm, f, pm, f, pm, f).mean(axis=(1, 3, 5))
             patches[i] = cube
         return patches
-
-    def patchify_labels(self, mask: np.ndarray, seq: VolumeSequence) -> np.ndarray:
-        """Project a full-resolution label volume onto the token layout.
-
-        Returns (L, 1, Pm, Pm, Pm) soft targets: each cube's mask region is
-        area-downscaled to Pm, aligning supervision with the inputs. Padded
-        slots are zeros.
-        """
-        m = np.asarray(mask, dtype=np.float64)
-        if m.ndim != 3:
-            raise ValueError(f"expected a 3-D mask, got shape {m.shape}")
-        pm = seq.patch_size
-        out = np.zeros((len(seq), 1, pm, pm, pm), dtype=np.float64)
-        for i in np.flatnonzero(seq.valid):
-            s = int(seq.sizes[i])
-            z, y, x = int(seq.zs[i]), int(seq.ys[i]), int(seq.xs[i])
-            region = m[z:z + s, y:y + s, x:x + s]
-            if s > pm:
-                f = s // pm
-                region = region.reshape(pm, f, pm, f, pm, f).mean(axis=(1, 3, 5))
-            out[i, 0] = region
-        return out

@@ -332,20 +332,22 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
     >>> seqs = patcher.extract_batch(images)        # list of PatchSequence
     """
 
-    def detail_map_batch(self, images: Sequence[np.ndarray]) -> np.ndarray:
-        """Stages 1-2 for a batch: (B, Z, Z) detail stack.
+    def detail_map_batch(self, images: Sequence[np.ndarray]
+                         ) -> List[np.ndarray]:
+        """Stages 1-2 for a batch: one (Z, Z) detail map per image, in the
+        stage's own dtype (bool edge masks for Canny, float64 for variance).
 
-        Each slice is bit-identical to ``self.detail_map(images[b])``.
+        Each map equals ``self.detail_map(images[b])`` in value (that
+        reference widens the edge mask to float64); the tree build sums
+        either in float64, so the trees are the same.
         """
         cfg = self.config
         scratch = _local.__dict__.setdefault("scratch", _Scratch())
-        out = None
-        for i, image in enumerate(images):
+        out = []
+        for image in images:
             gray = to_grayscale(np.asarray(image, dtype=np.float64))
             z = gray.shape[0]
-            if out is None:
-                out = np.empty((len(images), z, z), dtype=np.float64)
-            elif gray.shape != out.shape[1:]:
+            if out and gray.shape != out[0].shape:
                 raise ValueError("all images in a batch must share one shape")
             k = cfg.blur_ksize or KSIZE_FOR_RESOLUTION.get(z, 3)
             if k == 3 and z >= 2:
@@ -363,20 +365,22 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
                     f = np.multiply(blurred, 255.0,
                                     out=scratch.get("fscale", blurred.shape))
                     absmax *= 255.0
-                out[i] = _sparse_canny(f, cfg.canny_low, cfg.canny_high,
-                                       scratch, absmax)
+                out.append(_sparse_canny(f, cfg.canny_low, cfg.canny_high,
+                                         scratch, absmax))
             else:
-                out[i] = _variance_detail(
-                    blurred, window=max(cfg.patch_size, 2)) * 16.0
+                out.append(_variance_detail(
+                    blurred, window=max(cfg.patch_size, 2)) * 16.0)
         return out
 
     def build_tree_batch(
             self, images: Sequence[np.ndarray]) -> List[QuadtreeLeaves]:
         """Stage 3 for a batch: one level-synchronous build over all images."""
-        detail = self.detail_map_batch(images)
+        details = self.detail_map_batch(images)
+        if not details:
+            return []
         cfg = self.config
-        trees = build_tree_batch(detail, cfg.split_value,
-                                 self._tree_depth(detail.shape[1]),
+        trees = build_tree_batch(details, cfg.split_value,
+                                 self._tree_depth(details[0].shape[0]),
                                  min_size=cfg.patch_size)
         if cfg.balance:
             trees = [balance_2to1(t) for t in trees]

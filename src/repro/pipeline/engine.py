@@ -243,9 +243,6 @@ class PatchPipeline:
         """Single-image natural sequence through the cache (inference path)."""
         return self.process([image])[0]
 
-    def patchify_labels(self, mask: np.ndarray, seq: PatchSequence) -> np.ndarray:
-        return self.patcher.patchify_labels(mask, seq)
-
     @property
     def stats(self) -> dict:
         """Cache counters (empty dict when caching is disabled)."""

@@ -20,10 +20,11 @@ The speed comes from four places:
    :func:`~repro.quadtree.tree.build_tree_batch`: one shared frontier
    and a single region-sums lookup per depth across all volumes, over
    summed-volume tables sampled on the ``patch_size`` grid.
-3. **Vectorized cube gather**: leaves are gathered per size group with one
-   fancy-index + reshape-mean per group instead of a Python loop per leaf
-   (the multi-axis mean reduces each cube in the same element order as the
-   reference's per-cube reduction, so values match bit-for-bit).
+3. **Vectorized cube gather** (:func:`~repro.patching.transfer.gather`,
+   shared with the 2-D patcher): leaves are gathered per size group with
+   one fancy-index + reshape-mean per group instead of a Python loop per
+   leaf (the multi-axis mean reduces each cube in the same element order
+   as the reference's per-cube reduction, so values match bit-for-bit).
 4. **Buffer reuse**: smoothing output, gradient planes, and the partition
    scratch persist across the volumes of a batch.
 
@@ -40,6 +41,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy import ndimage
 
+from ..patching.transfer import gather
 from ..patching.volumetric import VolumetricAdaptivePatcher
 from ..quadtree import OctreeLeaves, build_tree_batch
 from .batched import BatchExtract, _Scratch
@@ -193,26 +195,7 @@ class BatchedVolumetricPatcher(BatchExtract, VolumetricAdaptivePatcher):
 
     def _gather(self, v: np.ndarray, leaves: OctreeLeaves,
                 pm: int) -> np.ndarray:
-        """Vectorized per-size-group cube gather + area downscale.
-
-        Leaves are cube-aligned, so each size group is one fancy-index into
-        an ``(Z/s)³`` block view — the gathered copy is laid out exactly like
-        the reference's per-leaf slices, and the multi-axis mean reduces each
-        cube in the same element order, keeping values bit-identical.
-        """
-        n = len(leaves)
-        z = v.shape[0]
-        patches = np.zeros((n, pm, pm, pm), dtype=np.float64)
-        for s in np.unique(leaves.sizes):
-            s = int(s)
-            idx = np.flatnonzero(leaves.sizes == s)
-            g = z // s
-            blocks = v.reshape(g, s, g, s, g, s).transpose(0, 2, 4, 1, 3, 5)
-            stack = blocks[leaves.zs[idx] // s, leaves.ys[idx] // s,
-                           leaves.xs[idx] // s]         # (k, s, s, s) copy
-            if s > pm:
-                f = s // pm
-                stack = stack.reshape(len(idx), pm, f, pm, f, pm, f
-                                      ).mean(axis=(2, 4, 6))
-            patches[idx] = stack
-        return patches
+        """The shared size-grouped block gather
+        (:func:`~repro.patching.transfer.gather`) in place of the
+        reference's per-leaf loop."""
+        return gather(v, leaves, pm)

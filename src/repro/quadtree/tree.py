@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class Leaves(Rows):
     per leaf, corners in the ``AXES`` fields, plus ``sizes`` (side length,
     a power of two), ``depths`` (root = 0) and optional ``details``.
     Subclasses supply ``morton_order`` for their dimension."""
-
-    #: Corner coordinate fields, outermost axis first.
-    AXES: ClassVar[Tuple[str, ...]] = ()
 
     @property
     def ndim(self) -> int:

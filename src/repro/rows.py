@@ -29,6 +29,8 @@ class Rows:
     """
 
     ROWS: ClassVar[Tuple[str, ...]] = ()
+    #: Corner coordinate fields, outermost axis first (empty: no geometry).
+    AXES: ClassVar[Tuple[str, ...]] = ()
 
     def _columns(self) -> Dict[str, np.ndarray]:
         cols = {name: getattr(self, name) for name in self.ROWS}

@@ -4,9 +4,9 @@ One scheduler, several adapters:
 
 * :class:`WorkGraphScheduler` (:mod:`.scheduler`) — the single truth for
   inference orchestration: tiles → sequences → micro-batches → stitch.
-  Length bucketing, micro-batch formation, compiled per-signature plans
-  (:mod:`repro.runtime`) and vectorized map stitching (:mod:`.stitch`)
-  live here and nowhere else.
+  Length bucketing, micro-batch formation and compiled per-signature
+  plans (:mod:`repro.runtime`) live here and nowhere else; stitching
+  calls :func:`repro.patching.stitch`, the one leaf-to-pixel transfer.
 * :class:`Predictor` — the synchronous-drain adapter: cached APF
   preprocessing plus a blocking drain of the work graph.
 * :class:`InferenceEngine` — the pump adapter over a shared Predictor:
@@ -37,12 +37,11 @@ from .router import (REPLICA_DOWN, REPLICA_DRAINING, REPLICA_UP, FleetRouter,
                      Replica, rendezvous_order)
 from .scheduler import (MicroBatch, SequenceNode, TileNode,
                         WorkGraphScheduler, class_map)
-from .stitch import stitch_image, stitch_volume
 
 __all__ = [
     "WorkGraphScheduler", "SequenceNode", "MicroBatch", "TileNode",
     "class_map",
-    "Predictor", "stitch_image", "stitch_volume",
+    "Predictor",
     "InferenceEngine", "EngineConfig", "BatchReport",
     "FairQueue", "Request", "EngineOverloaded",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",

@@ -9,6 +9,11 @@ to the same four-stage work graph:
      slabs, plain    the pipeline's     one plan execution  to maps +
      images)         LRU cache)         per batch)          tile reduce)
 
+Stage 4 paints each node's token maps back over its leaves through
+:func:`repro.patching.transfer.stitch`, the n-D block transfer that APF's
+patch extraction and label projection also use, so images and volumes
+share one stitch.
+
 Before this module existed, three separately maintained front-ends —
 ``Predictor.predict_batch``, ``InferenceEngine.step`` and the streaming
 runner — each re-implemented parts of length bucketing, micro-batch
@@ -68,9 +73,9 @@ import numpy as np
 
 from ..models.embedding import pack_sequences
 from ..nn import kernels as K
+from ..patching.transfer import stitch
 from ..runtime import compile_model
 from .. import nn
-from .stitch import stitch_image, stitch_volume
 
 __all__ = ["WorkGraphScheduler", "SequenceNode", "MicroBatch", "TileNode",
            "class_map"]
@@ -297,14 +302,17 @@ class WorkGraphScheduler:
 
     # -- stage 4: stitch ---------------------------------------------------
     def _stitch(self, seq, logits_row: np.ndarray) -> np.ndarray:
+        """Token logits -> probability map, painted over each token's
+        leaf by :func:`~repro.patching.transfer.stitch`, the one stitch
+        every front-end shares: (K, Z, Z) for an image, the channel-0
+        (Z, Z, Z) map for a volume."""
         p = self.predictor
-        pm = p.model.patch_size
-        k = p.model.out_channels
-        if hasattr(seq, "scatter_to_volume"):
-            maps = logits_row.reshape(len(seq), k, pm, pm, pm)
-            return stitch_volume(seq, K.forward("sigmoid", (), maps[:, 0]))
-        maps = logits_row.reshape(len(seq), k, pm, pm)
-        return stitch_image(seq, K.forward("sigmoid", (), maps))
+        d = len(seq.AXES)
+        maps = logits_row.reshape((len(seq), p.model.out_channels)
+                                  + (p.model.patch_size,) * d)
+        if d == 3:
+            return stitch(seq, K.forward("sigmoid", (), maps[:, :1]))[0]
+        return stitch(seq, K.forward("sigmoid", (), maps))
 
     def run(self, micro: MicroBatch) -> MicroBatch:
         """Execute one micro-batch: fit, pack, forward, stitch.

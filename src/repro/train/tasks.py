@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import nn
 from ..metrics import dice_score, per_class_dice, top1_accuracy
-from ..patching import AdaptivePatcher, PatchSequence
+from ..patching import PatchSequence, patchify_labels
 
 __all__ = ["TokenSegmentationTask", "VolumeSegmentationTask",
            "ImageSegmentationTask", "UNETRTask",
@@ -94,14 +94,7 @@ class TokenSegmentationTask(_SegTaskBase):
     def _seq_and_targets(self, sample):
         img = _patcher_image(sample.image, self.channels)
         seq = self.patcher(img)
-        if hasattr(self.patcher, "patchify_labels"):
-            targets = self.patcher.patchify_labels(sample.mask, seq)
-        else:
-            # Uniform patching: reuse the adaptive label logic via the shared
-            # sequence geometry (leaf == grid cell).
-            targets = AdaptivePatcher(patch_size=seq.patch_size).patchify_labels(
-                sample.mask, seq)
-        return seq, targets
+        return seq, patchify_labels(sample.mask, seq)
 
     def batch_loss(self, samples: Sequence) -> nn.Tensor:
         if hasattr(samples, "tokens") and hasattr(samples, "sequences"):
@@ -125,13 +118,8 @@ class TokenSegmentationTask(_SegTaskBase):
         if batch.samples is None:
             raise ValueError("collated batch lacks samples; collate with "
                              "samples= to train on it")
-        if hasattr(self.patcher, "patchify_labels"):
-            patchify = self.patcher.patchify_labels
-        else:
-            patchify = AdaptivePatcher(
-                patch_size=batch.sequences[0].patch_size).patchify_labels
         targets = np.stack([
-            patchify(s.mask, seq).reshape(len(seq), -1)
+            patchify_labels(s.mask, seq).reshape(len(seq), -1)
             for s, seq in zip(batch.samples, batch.sequences)])
         logits = self.model.forward(batch.tokens, batch.coords, batch.valid)
         valid = batch.valid.astype(np.float64)
@@ -190,7 +178,7 @@ class VolumeSegmentationTask:
         seqs, targets = [], []
         for s in samples:
             seq = self.patcher(np.asarray(s.image, dtype=np.float64))
-            t = self.patcher.patchify_labels(self._binary_mask(s.mask), seq)
+            t = patchify_labels(self._binary_mask(s.mask), seq)
             seqs.append(seq)
             targets.append(t.reshape(len(seq), -1))
         logits = self.model.forward_sequences(seqs)
@@ -202,8 +190,8 @@ class VolumeSegmentationTask:
             raise ValueError("collated batch lacks samples; collate with "
                              "samples= to train on it")
         targets = np.stack([
-            self.patcher.patchify_labels(self._binary_mask(s.mask),
-                                         seq).reshape(len(seq), -1)
+            patchify_labels(self._binary_mask(s.mask),
+                            seq).reshape(len(seq), -1)
             for s, seq in zip(batch.samples, batch.sequences)])
         logits = self.model.forward(batch.tokens, batch.coords, batch.valid)
         return self._masked_loss(logits, targets, batch.valid)

@@ -9,7 +9,7 @@ from repro.data import generate_wsi
 from repro.models import (HIPTLite, SwinUNETRLite, TransUNetLite, UNet,
                           UNETR2D, ViTClassifier, ViTSegmenter,
                           collate_sequences)
-from repro.patching import AdaptivePatcher, UniformPatcher
+from repro.patching import AdaptivePatcher, UniformPatcher, patchify_labels
 
 
 def gray_image(z=32, seed=0):
@@ -53,8 +53,7 @@ class TestViTSegmenter:
 
     def test_all_parameters_receive_grad(self):
         model, seq, mask = self._setup(AdaptivePatcher(patch_size=4, split_value=4.0))
-        patcher = AdaptivePatcher(patch_size=4, split_value=4.0)
-        targets = patcher.patchify_labels(mask, seq)
+        targets = patchify_labels(mask, seq)
         logits = model.forward_sequences([seq])
         t = targets.reshape(1, len(seq), -1)
         loss = nn.combined_bce_dice(logits, t)
@@ -71,7 +70,7 @@ class TestViTSegmenter:
         img, mask = gray_image()
         patcher = AdaptivePatcher(patch_size=4, split_value=4.0)
         seq = patcher(img)
-        targets = patcher.patchify_labels(mask, seq).reshape(1, len(seq), -1)
+        targets = patchify_labels(mask, seq).reshape(1, len(seq), -1)
         model = ViTSegmenter(patch_size=4, channels=1, dim=32, depth=2,
                              heads=2, max_len=128, rng=np.random.default_rng(1))
         opt = nn.AdamW(model.parameters(), lr=3e-3)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.patching import AdaptivePatcher, APFConfig, UniformPatcher
+from repro.patching import (AdaptivePatcher, APFConfig, UniformPatcher,
+                            patchify_labels)
 
 
 def blob_image(z=64, seed=0, n_blobs=3):
@@ -160,27 +161,17 @@ class TestRoundTrip:
         mask = (img > 0.5).astype(float)
         p = AdaptivePatcher(patch_size=4, split_value=4.0)
         seq = p(img)
-        targets = p.patchify_labels(mask, seq)
+        targets = patchify_labels(mask, seq)
         assert targets.shape == (len(seq), 1, 4, 4)
         # Scattering targets back must reproduce mask at leaf granularity.
         rec = seq.scatter_to_image(targets)[0]
         assert rec.mean() == pytest.approx(mask.mean(), rel=1e-6)
         assert np.abs(rec - mask).mean() < 0.2
 
-    def test_scatter_grid_features(self):
-        img = blob_image(64)
-        seq = AdaptivePatcher(patch_size=4, split_value=4.0)(img)
-        feats = np.ones((len(seq), 8))
-        grid = seq.scatter_tokens_to_grid(feats)
-        assert grid.shape == (8, 16, 16)
-        np.testing.assert_allclose(grid, 1.0)  # full coverage → all cells filled
-
     def test_scatter_shape_validation(self):
         seq = AdaptivePatcher(patch_size=4, split_value=4.0)(blob_image())
         with pytest.raises(ValueError):
             seq.scatter_to_image(np.zeros((len(seq) + 1, 1, 4, 4)))
-        with pytest.raises(ValueError):
-            seq.scatter_tokens_to_grid(np.zeros((len(seq) + 1, 8)))
 
     def test_coords_normalized(self):
         seq = AdaptivePatcher(patch_size=4, split_value=4.0)(blob_image())

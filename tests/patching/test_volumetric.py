@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic_volume import generate_ct_volume
-from repro.patching import (VolumeAPFConfig, VolumetricAdaptivePatcher)
+from repro.patching import (VolumeAPFConfig, VolumetricAdaptivePatcher,
+                            patchify_labels)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +155,7 @@ class TestPatchifyLabels:
     def test_shapes_and_alignment(self, ct):
         p = VolumetricAdaptivePatcher(patch_size=4, split_value=8.0)
         seq = p(ct.volume)
-        targets = p.patchify_labels((ct.mask > 0).astype(float), seq)
+        targets = patchify_labels((ct.mask > 0).astype(float), seq)
         assert targets.shape == (len(seq), 1, 4, 4, 4)
         assert targets.min() >= 0.0 and targets.max() <= 1.0
         # Scattering the targets back reconstructs the mask's mean exactly
@@ -166,11 +167,11 @@ class TestPatchifyLabels:
         p = VolumetricAdaptivePatcher(patch_size=4, split_value=8.0,
                                       target_length=2048)
         seq = p(ct.volume)
-        targets = p.patchify_labels((ct.mask > 0).astype(float), seq)
+        targets = patchify_labels((ct.mask > 0).astype(float), seq)
         assert np.all(targets[~seq.valid] == 0.0)
 
     def test_rejects_2d_mask(self, ct):
         p = VolumetricAdaptivePatcher(patch_size=4, split_value=8.0)
         seq = p(ct.volume)
         with pytest.raises(ValueError):
-            p.patchify_labels(np.zeros((32, 32)), seq)
+            patchify_labels(np.zeros((32, 32)), seq)

@@ -1,4 +1,4 @@
-"""Tests for the micro-batching Predictor and the vectorized stitchers."""
+"""Tests for the micro-batching Predictor and the vectorized stitch."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.data import SyntheticPAIP, generate_ct_volume
 from repro.models.vit import ViTSegmenter, VolumeViTSegmenter
 from repro.patching import (AdaptivePatcher, APFConfig, VolumeAPFConfig,
-                            VolumetricAdaptivePatcher)
+                            VolumetricAdaptivePatcher, stitch)
 from repro.pipeline import PatchPipeline
-from repro.serve import Predictor, stitch_image, stitch_volume
+from repro.serve import Predictor
 from repro.train.tasks import prepare_image
 from repro.train.volumetric import predict_volume
 
@@ -37,7 +37,7 @@ def _images(n, res=64):
 
 
 class TestStitchEquivalence:
-    """The grouped block-view stitchers must reproduce the reference
+    """The grouped block-view stitch must reproduce the reference
     per-leaf scatter loops bit for bit."""
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.booleans())
@@ -49,11 +49,8 @@ class TestStitchEquivalence:
         if pad:
             seq = patcher.fit_length(seq, len(seq) + 7)
         tm = rng.normal(size=(len(seq), k, 4, 4))
-        np.testing.assert_array_equal(seq.scatter_to_image(tm, fill=0.25),
-                                      stitch_image(seq, tm, fill=0.25))
-        flat = rng.normal(size=(len(seq), k))
-        np.testing.assert_array_equal(seq.scatter_to_image(flat),
-                                      stitch_image(seq, flat))
+        np.testing.assert_array_equal(seq.scatter_to_image(tm),
+                                      stitch(seq, tm))
 
     @given(st.integers(0, 10 ** 6), st.booleans())
     def test_stitch_volume_matches_scatter(self, seed, pad):
@@ -65,10 +62,8 @@ class TestStitchEquivalence:
         if pad:
             seq = patcher.fit_length(seq, len(seq) + 9)
         tv = rng.normal(size=(len(seq), 4, 4, 4))
-        np.testing.assert_array_equal(seq.scatter_to_volume(tv, fill=-1.0),
-                                      stitch_volume(seq, tv, fill=-1.0))
-        np.testing.assert_array_equal(seq.scatter_to_volume(tv[:, 0, 0, 0]),
-                                      stitch_volume(seq, tv[:, 0, 0, 0]))
+        np.testing.assert_array_equal(seq.scatter_to_volume(tv),
+                                      stitch(seq, tv[:, None])[0])
 
     def test_downscale_leaves_smaller_than_patch(self):
         # Hand-built sequence with a leaf *smaller* than the model patch
@@ -85,7 +80,7 @@ class TestStitchEquivalence:
             image_size=32, patch_size=pm, n_real=4)
         tm = rng.normal(size=(len(seq), 2, pm, pm))
         np.testing.assert_array_equal(seq.scatter_to_image(tm),
-                                      stitch_image(seq, tm))
+                                      stitch(seq, tm))
 
 
 class TestPredictor:

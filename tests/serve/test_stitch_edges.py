@@ -1,15 +1,15 @@
-"""Edge-case coverage for the vectorized stitchers, pinned against the
-reference per-leaf scatter loops: single-patch sequences, fully-padded
-rows, mixed up/down-scale leaves, and multi-channel flat broadcasts."""
+"""Edge-case coverage for the vectorized stitch (stage 4 of the serving
+work graph), pinned against the reference per-leaf scatter loops:
+single-patch sequences, fully-padded rows and mixed up/down-scale leaves,
+in the scheduler's ``(L, K) + (Pm,)*d`` layout."""
 
 import numpy as np
 import pytest
 
 from repro.patching import (AdaptivePatcher, APFConfig, VolumeAPFConfig,
-                            VolumetricAdaptivePatcher)
+                            VolumetricAdaptivePatcher, stitch)
 from repro.patching.sequence import PatchSequence
 from repro.patching.volumetric import VolumeSequence
-from repro.serve import stitch_image, stitch_volume
 
 
 def _image_seq(sizes, ys, xs, valid, image_size, pm, rng):
@@ -27,8 +27,8 @@ class TestImageEdgeCases:
         rng = np.random.default_rng(0)
         seq = _image_seq([32], [0], [0], [True], 32, 8, rng)
         tm = rng.normal(size=(1, 3, 8, 8))
-        np.testing.assert_array_equal(seq.scatter_to_image(tm, fill=-2.0),
-                                      stitch_image(seq, tm, fill=-2.0))
+        np.testing.assert_array_equal(seq.scatter_to_image(tm),
+                                      stitch(seq, tm))
 
     def test_single_patch_from_real_patcher(self):
         # a flat image collapses the quadtree to its root leaf
@@ -37,17 +37,17 @@ class TestImageEdgeCases:
         assert len(seq) == 1 and int(seq.sizes[0]) == 32
         tm = np.random.default_rng(1).normal(size=(1, 2, 4, 4))
         np.testing.assert_array_equal(seq.scatter_to_image(tm),
-                                      stitch_image(seq, tm))
+                                      stitch(seq, tm))
 
     def test_all_padded_row_paints_only_fill(self):
+        # padding paints nothing: the map keeps its zero fill
         rng = np.random.default_rng(2)
         seq = _image_seq([0, 0, 0], [0, 0, 0], [0, 0, 0],
                          [False, False, False], 16, 4, rng)
         tm = rng.normal(size=(3, 2, 4, 4))
-        got = stitch_image(seq, tm, fill=0.125)
-        np.testing.assert_array_equal(got, np.full((2, 16, 16), 0.125))
-        np.testing.assert_array_equal(got,
-                                      seq.scatter_to_image(tm, fill=0.125))
+        got = stitch(seq, tm)
+        np.testing.assert_array_equal(got, np.zeros((2, 16, 16)))
+        np.testing.assert_array_equal(got, seq.scatter_to_image(tm))
 
     def test_mixed_up_and_downscale_leaves(self):
         # leaves both larger (16, 8) and smaller (2) than the model patch
@@ -60,24 +60,20 @@ class TestImageEdgeCases:
         # remaining area intentionally uncovered (drop semantics)
         seq = _image_seq(sizes, ys, xs, [True] * 9, 32, pm, rng)
         tm = rng.normal(size=(9, 2, pm, pm))
-        np.testing.assert_array_equal(seq.scatter_to_image(tm, fill=0.5),
-                                      stitch_image(seq, tm, fill=0.5))
-
-    def test_flat_vector_broadcast_multichannel(self):
-        rng = np.random.default_rng(4)
-        seq = _image_seq([8, 8, 4], [0, 8, 0], [0, 0, 8],
-                         [True, True, False], 16, 4, rng)
-        flat = rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(seq.scatter_to_image(flat),
-                                      stitch_image(seq, flat))
+        np.testing.assert_array_equal(seq.scatter_to_image(tm),
+                                      stitch(seq, tm))
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(5)
         seq = _image_seq([4], [0], [0], [True], 16, 4, rng)
         with pytest.raises(ValueError):
-            stitch_image(seq, rng.normal(size=(2, 1, 4, 4)))
+            stitch(seq, rng.normal(size=(2, 1, 4, 4)))
         with pytest.raises(ValueError):
-            stitch_image(seq, rng.normal(size=(1, 1, 4)))
+            stitch(seq, rng.normal(size=(1, 1, 4)))
+        with pytest.raises(ValueError):     # flat (L, K) is not a layout
+            stitch(seq, rng.normal(size=(1, 1)))
+        with pytest.raises(ValueError):     # maps of the wrong patch size
+            stitch(seq, rng.normal(size=(1, 1, 2, 2)))
 
 
 def _volume_seq(sizes, zs, ys, xs, valid, n, pm, rng):
@@ -95,8 +91,8 @@ class TestVolumeEdgeCases:
         rng = np.random.default_rng(6)
         seq = _volume_seq([16], [0], [0], [0], [True], 16, 4, rng)
         tv = rng.normal(size=(1, 4, 4, 4))
-        np.testing.assert_array_equal(seq.scatter_to_volume(tv, fill=1.5),
-                                      stitch_volume(seq, tv, fill=1.5))
+        np.testing.assert_array_equal(seq.scatter_to_volume(tv),
+                                      stitch(seq, tv[:, None])[0])
 
     def test_single_cube_from_real_patcher(self):
         patcher = VolumetricAdaptivePatcher(
@@ -105,22 +101,13 @@ class TestVolumeEdgeCases:
         assert len(seq) == 1 and int(seq.sizes[0]) == 16
         tv = np.random.default_rng(7).normal(size=(1, 4, 4, 4))
         np.testing.assert_array_equal(seq.scatter_to_volume(tv),
-                                      stitch_volume(seq, tv))
+                                      stitch(seq, tv[:, None])[0])
 
     def test_all_padded_volume_row(self):
         rng = np.random.default_rng(8)
         seq = _volume_seq([0, 0], [0, 0], [0, 0], [0, 0], [False, False],
                          8, 4, rng)
         tv = rng.normal(size=(2, 4, 4, 4))
-        got = stitch_volume(seq, tv, fill=-3.0)
-        np.testing.assert_array_equal(got, np.full((8, 8, 8), -3.0))
-        np.testing.assert_array_equal(got,
-                                      seq.scatter_to_volume(tv, fill=-3.0))
-
-    def test_scalar_broadcast_with_padding(self):
-        rng = np.random.default_rng(9)
-        seq = _volume_seq([8, 4, 4], [0, 8, 8], [0, 0, 4], [0, 0, 0],
-                         [True, True, False], 16, 4, rng)
-        scalars = rng.normal(size=3)
-        np.testing.assert_array_equal(seq.scatter_to_volume(scalars),
-                                      stitch_volume(seq, scalars))
+        got = stitch(seq, tv[:, None])
+        np.testing.assert_array_equal(got, np.zeros((1, 8, 8, 8)))
+        np.testing.assert_array_equal(got[0], seq.scatter_to_volume(tv))

@@ -5,7 +5,8 @@ implementations — but both could drift together if a refactor changed the
 reference itself. These digests pin the reference outputs for fixed seeds:
 Canny edge masks, quadtree leaf layouts, octree leaf layouts, every leaf
 field of the 2-D and 3-D tree builds (single and batched), and every
-field of the reordered, dropped, padded and subset leaf sets and sequences.
+field of the reordered, dropped, padded and subset leaf sets and sequences,
+and every leaf↔pixel transfer (patch gather, label projection, stitch).
 A kernel refactor that silently changes any output (one flipped edge pixel,
 one re-ordered leaf, one widened dtype) fails here.
 
@@ -347,3 +348,135 @@ class TestRowAlgebraGolden:
         with pytest.raises(ValueError,
                            match="inconsistent sequence field lengths"):
             cls(**rows, details=np.zeros(4))
+
+
+def _sha256(*arrays) -> str:
+    """sha256 over each array's shape, dtype and bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _transfer_outputs():
+    """Every leaf↔pixel transfer of APF, 2-D and 3-D, from fixed seeds:
+    patch extraction (one and three channels, single and batched), label
+    projection onto natural, dropped and padded sequences (adaptive,
+    uniform and octree), and the serving stitch in the scheduler's
+    ``(L, K) + (Pm,)*d`` layout."""
+    from repro.patching import UniformPatcher, patchify_labels, stitch
+    from repro.pipeline import BatchedAdaptivePatcher, BatchedVolumetricPatcher
+
+    rng = np.random.default_rng(23)
+    out = {}
+    wsis = [generate_wsi(128, seed=s) for s in (0, 1)]
+    rgb = [w.image for w in wsis]
+    gray = [to_grayscale(np.asarray(i, dtype=np.float64)) for i in rgb]
+    for pm, split in ((2, 2.0), (4, 8.0)):
+        cfg = APFConfig(patch_size=pm, split_value=split)
+        for name, imgs in (("gray", gray), ("rgb", rgb)):
+            seqs = [AdaptivePatcher(cfg).extract(i) for i in imgs]
+            out[f"extract.2d.{name}.pm{pm}"] = _sha256(
+                *(s.patches for s in seqs))
+            batched = BatchedAdaptivePatcher(cfg).extract_batch(imgs)
+            out[f"extract.2d.{name}.pm{pm}.batched"] = _sha256(
+                *(s.patches for s in batched))
+    vols = [generate_ct_volume(32, 32, seed=s) for s in (0, 1)]
+    vcfg = VolumeAPFConfig(patch_size=2, split_value=8.0)
+    vseqs = [VolumetricAdaptivePatcher(vcfg).extract(v.volume) for v in vols]
+    out["extract.3d"] = _sha256(*(s.patches for s in vseqs))
+    out["extract.3d.batched"] = _sha256(*(s.patches for s in
+        BatchedVolumetricPatcher(vcfg).extract_batch(
+            [v.volume for v in vols])))
+
+    def variants(patcher, seq, seed):
+        n = len(seq)
+        return {"natural": seq,
+                "dropped": patcher.fit_length(
+                    seq, n // 2, rng=np.random.default_rng(seed)),
+                "padded": patcher.fit_length(seq, n + 7)}
+
+    soft = rng.random((128, 128))
+    ap = AdaptivePatcher(APFConfig(patch_size=4, split_value=8.0))
+    adaptive = ap.extract(rgb[0])
+    seqs2d = {"adaptive": adaptive,
+              "uniform": UniformPatcher(8).extract(gray[1]),
+              "uniform_projected": UniformPatcher(16, project_to=4).extract(
+                  gray[1])}
+    for kind, seq in seqs2d.items():
+        for var, s in variants(ap, seq, len(kind)).items():
+            out[f"labels.2d.{kind}.{var}"] = _sha256(
+                patchify_labels(wsis[0].mask, s),
+                patchify_labels(soft[:, :, None], s))
+    vp = VolumetricAdaptivePatcher(vcfg)
+    vmask = (vols[0].mask > 0).astype(np.float64)
+    vsoft = rng.random((32, 32, 32))
+    for var, s in variants(vp, vseqs[0], 3).items():
+        out[f"labels.3d.{var}"] = _sha256(patchify_labels(vmask, s),
+                                          patchify_labels(vsoft, s))
+
+    # Leaves smaller than Pm: a Pm=2 partition read as Pm=4 tokens.
+    small = dataclasses.replace(
+        AdaptivePatcher(APFConfig(patch_size=2, split_value=2.0)).extract(
+            rgb[1]), patch_size=4)
+    for name, seq in (("adaptive", adaptive), ("small_leaves", small)):
+        for var, s in variants(ap, seq, 9).items():
+            for k in (1, 2):
+                vals = rng.random((len(s), k, 4, 4))
+                out[f"stitch.2d.{name}.{var}.k{k}"] = _sha256(stitch(s, vals))
+    for var, s in variants(vp, vseqs[1], 4).items():
+        vals = rng.random((len(s), 1, 2, 2, 2))
+        out[f"stitch.3d.{var}"] = _sha256(stitch(s, vals)[0])
+    return out
+
+
+#: sha256 of every :func:`_transfer_outputs` entry, recorded with the
+#: per-dimension gathers, label loops and stitchers that preceded the
+#: shared n-D transfer (:mod:`repro.patching.transfer`).
+TRANSFER_GOLDEN = {
+    "extract.2d.gray.pm2": "72134ad9259f1fa419a5e7cc550715ab804e3c28ea3920d235b4f6229c83e223",
+    "extract.2d.gray.pm2.batched": "72134ad9259f1fa419a5e7cc550715ab804e3c28ea3920d235b4f6229c83e223",
+    "extract.2d.rgb.pm2": "f98ce5866b54e43069d01a8be53a9f28e9ffc00a83f459f9720c4eacaa8778de",
+    "extract.2d.rgb.pm2.batched": "f98ce5866b54e43069d01a8be53a9f28e9ffc00a83f459f9720c4eacaa8778de",
+    "extract.2d.gray.pm4": "7b98159a25261422defd90b9ff1ea34b2f2bdc6faccf0ef0ad4c43e7ef90a23f",
+    "extract.2d.gray.pm4.batched": "7b98159a25261422defd90b9ff1ea34b2f2bdc6faccf0ef0ad4c43e7ef90a23f",
+    "extract.2d.rgb.pm4": "f7d801bbc07d6dad246c61cd894a3b7a1fcb696c2024d2a86b9e9ae1ae007077",
+    "extract.2d.rgb.pm4.batched": "f7d801bbc07d6dad246c61cd894a3b7a1fcb696c2024d2a86b9e9ae1ae007077",
+    "extract.3d": "d8b2ba7383d7eaf654cc276b472eb752d213b6483f6eca4374c76b3bf7e5cf89",
+    "extract.3d.batched": "d8b2ba7383d7eaf654cc276b472eb752d213b6483f6eca4374c76b3bf7e5cf89",
+    "labels.2d.adaptive.natural": "0f4c0a7d3de6604f34f604b4b5fc11f4d738a9931bf65c08008e5f742ca5ebfd",
+    "labels.2d.adaptive.dropped": "b7774c63b2c94e22bf834edc796e29a1755d0b745de0e9e965bdb3f44d40d32f",
+    "labels.2d.adaptive.padded": "44b0200d2b8118189e5357926e950f70da64f8fca122fec73c38990db9080e4a",
+    "labels.2d.uniform.natural": "b7054ebd5e74e6fd815bd6cfac58d491c0128b15690e18d820f44d4eab95b95c",
+    "labels.2d.uniform.dropped": "32171ddb73ce7407064f5232be0293b3c067149ea3fd91ff6a42f1957d396fb1",
+    "labels.2d.uniform.padded": "fb0aa1a253ce3e91600c492e991df87646b0992a99a914d15e273cd9a2ca3963",
+    "labels.2d.uniform_projected.natural": "9df12b60d4a4d1abad8a4fed4a1b700f2d8f718872ada6c13d6f174e19208806",
+    "labels.2d.uniform_projected.dropped": "e6254990ee3440de39b06d3289dde358a62431defafb76407549777ddd891ed9",
+    "labels.2d.uniform_projected.padded": "b838c68884c23c405e59821aae21201cfa91722d1b2a36eb567e915cab38cab7",
+    "labels.3d.natural": "75f239dfd94389026860edde8c21cd328f760c3bfc54a65b80f6a2b78b7da79f",
+    "labels.3d.dropped": "417160ad5664e2de2492376f6ebaad6d00db30ffb09fb2893acaf1e55d2cd1be",
+    "labels.3d.padded": "6bd394307de33884af4e2690a4ed300208bee2d9e653a18c6058a88ee081d691",
+    "stitch.2d.adaptive.natural.k1": "cd126a61b11470f9571386321be96e0481265f2e313129806226779dc726b957",
+    "stitch.2d.adaptive.natural.k2": "fca074ea80ae1534935015e530ec54f97ea5a0452490b38fc5747b6b28540bd4",
+    "stitch.2d.adaptive.dropped.k1": "1e5bf1f2d782e735fef17c0d12b9f2c7aa014ad96bee577396251c7f608c3653",
+    "stitch.2d.adaptive.dropped.k2": "f39b0974406adcacc1be60c0baa4fc8f4ace3e450358e57e0dc8988dc15a5dc3",
+    "stitch.2d.adaptive.padded.k1": "0dac8e7f7facd27ba800d58281aba3254b8125aa7ccb1e9bc16840a0f353d35c",
+    "stitch.2d.adaptive.padded.k2": "3840a7b456eb99334122b4865998ef5b4adcc5a778fe425eddc9c4571e3af717",
+    "stitch.2d.small_leaves.natural.k1": "080c1e1db2ef5ff2ebe1605b4bd4de8344c3a5c3739a2a1dfe1ad94bc5616fdd",
+    "stitch.2d.small_leaves.natural.k2": "380c263bf63e1a17515cdb3e86a3929d4d3e28311b7c7b6ba10b396d8fa4b7d5",
+    "stitch.2d.small_leaves.dropped.k1": "aafc16f83fa05959b9198aaa547025dff322383c6ecdf40d9706404088e0617c",
+    "stitch.2d.small_leaves.dropped.k2": "9565d2b3fd7b9d2e08bb40916b1f177c024e9291500fe8cac4a835ab6e846034",
+    "stitch.2d.small_leaves.padded.k1": "db9b60e84d2a705c8174b0b043c3b976b96cb9447d12e3c83cb8ea368ceaa877",
+    "stitch.2d.small_leaves.padded.k2": "4afa3b20886f019f33e7ca7e8c51ee7c9b558b40ac1eced8c6ae78649e0cbc10",
+    "stitch.3d.natural": "3a27941abcde2e385a0bfa52f7289c4f3502044d22b20746c98e26961c6682ca",
+    "stitch.3d.dropped": "8f92125edb9fef33e076f38887a265ef5751ebf5ac2046630afb376f5b72cbb2",
+    "stitch.3d.padded": "22923884f147b177e9ea79eb2933ba170127c453e6f64f6c1eaf881d5f31a55f",
+}
+
+
+class TestTransferGolden:
+    def test_transfers_match_golden(self):
+        """Regenerate: _transfer_outputs()."""
+        assert _transfer_outputs() == TRANSFER_GOLDEN
