@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..patching import PatchSequence
+from ..patching import PatchSequence, stitch
 from .embedding import PatchEmbedding, collate_sequences
 
 __all__ = ["ViTBackbone", "ViTSegmenter", "VolumeViTSegmenter",
@@ -149,8 +149,7 @@ class ViTSegmenter(nn.Module):
             logits = self.forward_sequences([seq])
         pm, k = self.patch_size, self.out_channels
         token_maps = logits.data[0].reshape(len(seq), k, pm, pm)
-        probs = 1.0 / (1.0 + np.exp(-token_maps))
-        return seq.scatter_to_image(probs)
+        return stitch(seq, 1.0 / (1.0 + np.exp(-token_maps)))
 
 
 class VolumeViTSegmenter(nn.Module):
@@ -199,14 +198,13 @@ class VolumeViTSegmenter(nn.Module):
 
     def predict_volume_probs(self, seq) -> np.ndarray:
         """Inference: full-resolution (Z, Z, Z) probability volume (the
-        first output channel, scattered through the octree geometry)."""
+        first output channel, painted over the octree leaves)."""
         with nn.no_grad():
             logits = self.forward_sequences([seq])
         pm = self.patch_size
         token_maps = logits.data[0].reshape(len(seq), self.out_channels,
                                             pm, pm, pm)
-        probs = 1.0 / (1.0 + np.exp(-token_maps[:, 0]))
-        return seq.scatter_to_volume(probs)
+        return stitch(seq, 1.0 / (1.0 + np.exp(-token_maps[:, :1])))[0]
 
 
 class ViTClassifier(nn.Module):

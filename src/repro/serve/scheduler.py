@@ -31,7 +31,10 @@ all stage transitions, and the front-ends are thin adapters over it:
 * :class:`~repro.stream.runner.StreamingRunner` — a **bounded feed**:
   macro-tile plans expand to :class:`TileNode`\\ s (one sequence per
   image tile, one per slice of a volume slab) with at most
-  ``max_inflight`` tiles resident.
+  ``max_inflight`` tiles resident. In predictor mode a worker thread runs
+  :meth:`tile_sequences` (read + APF) for the next tile while the caller
+  drains the current one through :meth:`sequence_nodes` and
+  :meth:`drain`, in plan order.
 * :class:`~repro.serve.router.FleetRouter` — **N pumps**: each replica's
   engine pumps its own scheduler over its own plan cache.
 
@@ -216,24 +219,32 @@ class WorkGraphScheduler:
             nodes.append(node)
         return nodes
 
-    def tile_node(self, region: np.ndarray, kind: str,
-                  keys: Optional[Sequence] = None) -> TileNode:
-        """Expand a macro-tile region into its sequence children.
+    def tile_sequences(self, region: np.ndarray, kind: str,
+                       keys: Optional[Sequence] = None) -> List:
+        """The pipeline half of :meth:`tile_node`: a macro-tile region's
+        natural APF sequences, one per child.
 
         ``kind="volume"`` decomposes a ``(d, Z, Z)`` slab into per-slice
-        children; ``kind="image"`` yields a single child. Preprocessing
-        runs through the predictor's pipeline (LRU cache, batch kernels)
-        — the identical acquisition path every other front-end uses.
-        ``keys`` name the children for the pipeline cache, one per child;
-        without them the pipeline content-hashes each child.
+        sequences; ``kind="image"`` yields one. Preprocessing runs through
+        the predictor's pipeline (LRU cache, batch kernels) — the identical
+        acquisition path every other front-end uses. ``keys`` name the
+        children for the pipeline cache, one per child; without them the
+        pipeline content-hashes each child. Touches nothing but the
+        (locked) pipeline, so it may run on another thread than the drain.
         """
         region = np.asarray(region)
         if kind == "volume":
             images = [region[i] for i in range(region.shape[0])]
         else:
             images = [region]
-        seqs = self.predictor._naturals(images, keys)
-        return TileNode(kind=kind, children=self.sequence_nodes(seqs))
+        return self.predictor._naturals(images, keys)
+
+    def tile_node(self, region: np.ndarray, kind: str,
+                  keys: Optional[Sequence] = None) -> TileNode:
+        """Expand a macro-tile region into its sequence children
+        (:meth:`tile_sequences`, then :meth:`sequence_nodes`)."""
+        return TileNode(kind=kind, children=self.sequence_nodes(
+            self.tile_sequences(region, kind, keys)))
 
     # -- stage 2 -> 3: micro-batch formation (the single truth) ------------
     def plan(self, nodes: Sequence[SequenceNode],

@@ -9,7 +9,7 @@ paths bit for bit:
 * :mod:`.planner` — quadtree-aligned macro-tiles / Z-slabs with
   working-set estimates (:func:`plan_scene`, :func:`plan_volume`);
 * :mod:`.runner` — the bounded-memory loop over
-  :class:`~repro.serve.predictor.Predictor` (serial, bit-exact) or
+  :class:`~repro.serve.predictor.Predictor` (read-ahead, bit-exact) or
   :class:`~repro.serve.engine.InferenceEngine` (overlapped,
   backpressure-aware);
 * :mod:`.sink` — tile-addressable outputs with atomic checkpoint/resume

@@ -6,17 +6,20 @@ tile is read from the source, driven through the serving stack, reduced to
 its class map, handed to the sink, and dropped — peak memory is set by the
 tile size and ``max_inflight``, never by the scene.
 
-Two drive modes over unchanged numerics:
+Two drive modes over unchanged numerics, one bounded loop:
 
-* **Predictor mode** (``StreamingRunner(predictor)``) — strictly serial:
-  each macro-tile expands to a
-  :class:`~repro.serve.scheduler.TileNode` and drains through the shared
-  :class:`~repro.serve.scheduler.WorkGraphScheduler` (the same plan
-  cache, bucketing, and vectorized stitch every other front-end uses),
-  so streamed class maps are **bit-identical** to the non-streamed
-  per-tile reference. Each tile is read once, so it is never
-  content-hashed for the pipeline cache. This is the mode the bench gate
-  pins.
+* **Predictor mode** (``StreamingRunner(predictor)``) — read-ahead: a
+  worker thread reads tile i+1 and runs its APF preprocessing
+  (:meth:`~repro.serve.scheduler.WorkGraphScheduler.tile_sequences`)
+  while the calling thread takes tile i through node building, the shared
+  :class:`~repro.serve.scheduler.WorkGraphScheduler` drain, the tile
+  reduce and the sink, in plan order. NumPy, SciPy and file writes
+  release the GIL, so the halves overlap on two cores. Node building,
+  and with it any sparsity decision (which reads the table earlier
+  tiles seeded), stays on the calling thread, so streamed class maps are
+  **bit-identical** to the non-streamed per-tile reference at every
+  ``max_inflight``; 1 runs the same loop with no read-ahead. Each tile is
+  read once, so it is never content-hashed for the pipeline cache.
 * **Engine mode** (``StreamingRunner(engine=engine)``) — overlapped:
   up to ``max_inflight`` tiles are submitted to the
   :class:`~repro.serve.engine.InferenceEngine` (continuous batcher, plan
@@ -27,18 +30,23 @@ Two drive modes over unchanged numerics:
   a started engine, batch composition follows arrival timing (the usual
   serving caveat); with an unstarted engine the runner drives
   :meth:`InferenceEngine.step` itself, which keeps tests deterministic.
+  Reads and submits stay on the calling thread: a backpressured submit
+  retires tiles into the sink, which must happen in plan order.
 
 Checkpoint/resume is delegated to the sink: tiles already durable are
 skipped (``resume=True``), so a killed run continues where it stopped and
 — because per-tile outputs are pure functions of the tile — produces
-byte-identical artifacts to an uninterrupted run.
+byte-identical artifacts to an uninterrupted run. An error from a read
+or a preprocess surfaces from :meth:`StreamingRunner.run` when its tile
+comes up in plan order, after every earlier tile is durable, and the
+worker thread is joined before ``run`` returns or raises.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -48,6 +56,7 @@ import numpy as np
 from ..perf.memory import TracedMemory
 from ..serve.predictor import class_map
 from ..serve.queueing import EngineOverloaded
+from ..serve.scheduler import TileNode
 from .planner import StreamPlan
 from .source import TiledSource
 
@@ -78,16 +87,19 @@ class StreamReport:
 
 
 class StreamingRunner:
-    """Stream a plan through a Predictor (serial) or InferenceEngine.
+    """Stream a plan through a Predictor (read-ahead) or InferenceEngine.
 
     Parameters
     ----------
     predictor:
-        Serial bit-exact mode; mutually exclusive with ``engine``.
+        Bit-exact read-ahead mode; mutually exclusive with ``engine``.
     engine:
         Overlapped mode with backpressure-aware submission.
     max_inflight:
-        Macro-tiles resident at once (engine mode; predictor mode is 1).
+        Macro-tiles resident at once. Predictor mode: the tile being
+        drained plus ``max_inflight - 1`` read and preprocessed ahead on
+        the worker thread (1: no read-ahead). Engine mode: tiles submitted
+        before the oldest is awaited.
     lane:
         Engine lane for streamed tiles. Defaults to ``"bulk"`` so a
         background slide job cannot starve interactive traffic.
@@ -96,9 +108,10 @@ class StreamingRunner:
         (:class:`~repro.perf.memory.TracedMemory`) into the report.
     tracer:
         Optional :class:`~repro.obs.Tracer`; the run emits ``tile.read``
-        spans and ``tile.submit`` / ``tile.retire`` / ``tile.skip``
-        instants on the ``stream`` track. Defaults to the engine's (or
-        predictor's) tracer so one shared timeline covers both layers.
+        spans (predictor mode: on the worker's ``read-ahead`` tid) and
+        ``tile.submit`` / ``tile.retire`` / ``tile.skip`` instants on the
+        ``stream`` track. Defaults to the engine's (or predictor's) tracer
+        so one shared timeline covers both layers.
     """
 
     def __init__(self, predictor=None, *, engine=None, max_inflight: int = 2,
@@ -109,7 +122,7 @@ class StreamingRunner:
             raise ValueError("max_inflight must be >= 1")
         self.predictor = predictor
         self.engine = engine
-        self.max_inflight = max_inflight if engine is not None else 1
+        self.max_inflight = max_inflight
         self.lane = lane
         self.track_memory = track_memory
         if tracer is None:
@@ -154,17 +167,30 @@ class StreamingRunner:
                     "pending — was the engine stopped (or its batcher "
                     "killed) mid-run?")
 
-    def _retire_oldest(self, inflight: deque, sink) -> None:
-        tile, fut, to_class = inflight.popleft()
-        value = self._resolve(fut)
-        sink.write(tile, class_map(value) if to_class else value)
+    def _retire_oldest(self, inflight: deque, sink, kind: str) -> None:
+        """Take the oldest in-flight tile to the sink (plan order)."""
+        tile, fut = inflight.popleft()
+        if self.engine is not None:
+            value = self._resolve(fut)
+            if kind == "image":
+                value = class_map(value)
+        else:
+            # predictor mode: node building, drain and reduce run here, on
+            # the calling thread, in plan order; ``fut`` is the worker's
+            # read + APF half (re-raising its error, if any)
+            sched = self.predictor.scheduler
+            node = TileNode(kind=kind,
+                            children=sched.sequence_nodes(fut.result()))
+            sched.drain(node.children)
+            value = sched.reduce_tile(node)
+        sink.write(tile, value)
         if self.tracer is not None:
             self.tracer.instant("tile.retire", "stream", self.tracer.clock(),
                                 args={"index": tile.index})
 
     def _submit(self, region: np.ndarray, kind: str, inflight: deque,
                 sink) -> tuple:
-        """Backpressure-aware submit → ``(future, needs_class_map, waits)``."""
+        """Backpressure-aware engine submit → ``(future, waits)``."""
         needed = region.shape[0] if kind == "volume" else 1
         if needed > self.engine.config.max_queue:
             # never admittable, even against an empty queue — raising here
@@ -177,13 +203,13 @@ class StreamingRunner:
         while True:
             try:
                 if kind == "volume":
-                    return self.engine.submit_volume(region, lane=self.lane), \
-                        False, waits
-                return self.engine.submit(region, lane=self.lane), True, waits
+                    return self.engine.submit_volume(region,
+                                                     lane=self.lane), waits
+                return self.engine.submit(region, lane=self.lane), waits
             except EngineOverloaded as exc:
                 waits += 1
                 if inflight:
-                    self._retire_oldest(inflight, sink)   # free queue slots
+                    self._retire_oldest(inflight, sink, kind)  # free slots
                 elif self.engine.is_running:
                     time.sleep(min(max(exc.retry_after, 1e-3), 0.05))
                 elif self.engine.step(force=True) is None:
@@ -226,6 +252,10 @@ class StreamingRunner:
         inflight: deque = deque()
         sparse_before = self._sparsity_counters()
         tracer = TracedMemory() if self.track_memory else None
+        # predictor mode: the worker that reads and preprocesses ahead
+        pool = ThreadPoolExecutor(1, thread_name_prefix="stream-read") \
+            if self.engine is None else None
+        kind = plan.kind
         t0 = time.perf_counter()
         if tracer is not None:
             tracer.__enter__()
@@ -237,38 +267,28 @@ class StreamingRunner:
                         tr.instant("tile.skip", "stream", tr.clock(),
                                    args={"index": tile.index})
                     continue
-                r0 = tr.clock() if tr is not None else 0.0
-                region = source.read_region(tile.origin, tile.size)
-                if tr is not None:
-                    tr.complete("tile.read", "stream", r0, tr.clock(),
-                                args={"index": tile.index,
-                                      "bytes": int(region.nbytes)})
-                report.bytes_read += region.nbytes
-                if self.engine is not None:
-                    fut, to_class, waits = self._submit(region, plan.kind,
-                                                        inflight, sink)
+                if pool is not None:
+                    fut = pool.submit(self._prepare, source, tile, kind,
+                                      report)
+                else:
+                    region = self._read(source, tile, report, "main")
+                    fut, waits = self._submit(region, kind, inflight, sink)
+                    del region
                     report.backpressure_waits += waits
                     if tr is not None:
                         tr.instant("tile.submit", "stream", tr.clock(),
                                    args={"index": tile.index, "waits": waits,
                                          "lane": self.lane})
-                    inflight.append((tile, fut, to_class))
-                    report.peak_inflight = max(report.peak_inflight,
-                                               len(inflight))
-                    while len(inflight) >= self.max_inflight:
-                        self._retire_oldest(inflight, sink)
-                else:
-                    report.peak_inflight = max(report.peak_inflight, 1)
-                    sink.write(tile, self._predict_tile(region, plan.kind))
-                    if tr is not None:
-                        tr.instant("tile.retire", "stream", tr.clock(),
-                                   args={"index": tile.index})
+                inflight.append((tile, fut))
+                report.peak_inflight = max(report.peak_inflight,
+                                           len(inflight))
+                while len(inflight) >= self.max_inflight:
+                    self._retire_oldest(inflight, sink, kind)
                 report.tiles_run += 1
-                del region
                 if tracer is not None:
                     tracer.update()
             while inflight:
-                self._retire_oldest(inflight, sink)
+                self._retire_oldest(inflight, sink, kind)
         except EngineOverloaded:
             # A mid-run rejection (e.g. a slab that can never fit the
             # queue) must not orphan tiles the engine already accepted:
@@ -277,9 +297,13 @@ class StreamingRunner:
             # in flight — those tiles become durable checkpoints — and
             # only then surface the overload.
             while inflight:
-                self._retire_oldest(inflight, sink)
+                self._retire_oldest(inflight, sink, kind)
             raise
         finally:
+            if pool is not None:
+                # no thread outlives run(): drop queued read-aheads, wait
+                # out the one running
+                pool.shutdown(wait=True, cancel_futures=True)
             if tracer is not None:
                 tracer.__exit__(None, None, None)
                 report.peak_traced_bytes = tracer.peak_bytes
@@ -293,19 +317,31 @@ class StreamingRunner:
             sink.finalize(plan, report.to_dict())
         return report
 
-    def _predict_tile(self, region: np.ndarray, kind: str) -> np.ndarray:
-        """Predictor mode: macro-tile -> TileNode -> drain -> reduce.
+    def _read(self, source: TiledSource, tile, report: StreamReport,
+              tid: str) -> np.ndarray:
+        """Read one tile's region, traced as a ``tile.read`` span."""
+        tr = self.tracer
+        r0 = tr.clock() if tr is not None else 0.0
+        region = source.read_region(tile.origin, tile.size)
+        if tr is not None:
+            tr.complete("tile.read", "stream", r0, tr.clock(), tid=tid,
+                        args={"index": tile.index,
+                              "bytes": int(region.nbytes)})
+        report.bytes_read += region.nbytes
+        return region
 
-        The tile expands through the shared work-graph scheduler — per
-        slice for a ``(d, Z, Z)`` slab, a single child for an image tile
-        — so the streamed path rides the exact bucketing, plan cache and
-        stitch every other front-end uses. A streamed tile is read once
-        and never recurs, so its children get fresh keys that match no
-        cache entry: the pipeline never hashes their pixels.
+    def _prepare(self, source: TiledSource, tile, kind: str,
+                 report: StreamReport) -> list:
+        """Predictor mode, on the worker: read a tile and preprocess it.
+
+        Returns only the natural APF sequences, so the raw region is
+        dropped when preprocessing ends, not held while the tile waits
+        for the drain. A streamed tile is read once and never recurs, so
+        its children get fresh keys that match no cache entry: the
+        pipeline never hashes their pixels. Only this thread adds to
+        ``bytes_read`` while the run is live.
         """
-        sched = self.predictor.scheduler
+        region = self._read(source, tile, report, "read-ahead")
         n = region.shape[0] if kind == "volume" else 1
-        node = sched.tile_node(region, kind,
-                               keys=[object() for _ in range(n)])
-        sched.drain(node.children)
-        return sched.reduce_tile(node)
+        return self.predictor.scheduler.tile_sequences(
+            region, kind, keys=[object() for _ in range(n)])

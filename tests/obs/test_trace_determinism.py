@@ -160,6 +160,7 @@ class TestSingleEngineTrace:
         imgs = _images()
         trace_in = poisson_trace(30.0, 12, seed=5, n_items=N_IMGS)
         run_load(engine, trace_in, imgs, clock)
+        assert_quiescent(engine)
         paths = critical_paths(tracer)
         assert paths
         batched = [p for p in paths.values() if "queue" in p]

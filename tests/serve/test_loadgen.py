@@ -88,6 +88,7 @@ class TestRunLoad:
                                                  n_items=len(imgs))
                                    for c in range(3)])
             reports.append(run_load(engine, trace, imgs, clock))
+            assert_quiescent(engine)
         a, b = reports
         assert a["throughput"] == b["throughput"]
         assert a["latency"] == b["latency"]
@@ -98,6 +99,7 @@ class TestRunLoad:
         imgs, engine, clock = _setup()
         trace = poisson_trace(20.0, 15, seed=3, n_items=len(imgs))
         report = run_load(engine, trace, imgs, clock)
+        assert_quiescent(engine)
         assert report["offered"] == 15
         assert (report["requests_completed"] + report["rejected_submissions"]
                 == 15)
@@ -108,6 +110,7 @@ class TestRunLoad:
         imgs, engine, clock = _setup(max_queue=4)
         trace = poisson_trace(500.0, 40, seed=5, n_items=len(imgs))
         report = run_load(engine, trace, imgs, clock)
+        assert_quiescent(engine)
         assert report["rejected_submissions"] > 0
         assert report["mean_retry_after"] > 0
 
@@ -115,6 +118,7 @@ class TestRunLoad:
         imgs, engine, clock = _setup()
         with pytest.raises(ValueError):
             run_load(engine, [], imgs, clock)
+        assert_quiescent(engine)
 
     def test_batching_beats_serial_baseline(self):
         imgs, engine, clock = _setup()
@@ -123,6 +127,7 @@ class TestRunLoad:
                                              n_items=len(imgs))
                                for c in range(4)])
         report = run_load(engine, trace, imgs, clock)
+        assert_quiescent(engine)
         ordered = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
         lengths = [pred.bucket_length(len(pred._naturals([imgs[a.item]],
                                                          [a.item])[0]))
@@ -273,6 +278,7 @@ class TestOneServerFleet:
                                for c in range(3)])
         imgs, engine, clock = _setup(**opts)
         single = run_load(engine, trace, imgs, clock)
+        assert_quiescent(engine)
         imgs, router, fleet_clock = _fleet_setup(replicas=1, **opts)
         fleet = run_fleet_load(router, trace, imgs, fleet_clock)
         assert_quiescent(router)

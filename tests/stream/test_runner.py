@@ -4,6 +4,7 @@ backpressure, sinks, and validation."""
 
 import hashlib
 import json
+import sys
 import threading
 from concurrent.futures import Future
 
@@ -61,12 +62,14 @@ class _InterruptedSink:
 
 
 class TestPredictorMode:
-    def test_bit_identical_to_per_tile_predict_image(self):
+    @pytest.mark.parametrize("inflight", [1, 2])
+    def test_bit_identical_to_per_tile_predict_image(self, inflight):
         src, plan = _wsi(), _plan()
         sink = MemorySink()
-        report = StreamingRunner(_predictor()).run(src, plan, sink)
+        report = StreamingRunner(_predictor(), max_inflight=inflight).run(
+            src, plan, sink)
         assert report.tiles_run == len(plan.tiles)
-        assert report.peak_inflight == 1
+        assert report.peak_inflight == inflight
         reference = _predictor()          # fresh predictor, fresh caches
         for tile in plan.tiles:
             region = src.read_region(tile.origin, tile.size)
@@ -179,12 +182,15 @@ class TestCheckpointResume:
         src, plan = _wsi(), _plan()
         model = _model()
         straight = NpyDirectorySink(tmp_path / "straight")
-        StreamingRunner(_predictor(model)).run(src, plan, straight)
+        StreamingRunner(_predictor(model), max_inflight=1).run(
+            src, plan, straight)
 
         resumed = NpyDirectorySink(tmp_path / "resumed")
-        with pytest.raises(KeyboardInterrupt):
-            StreamingRunner(_predictor(model)).run(
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):      # killed with read-ahead on
+            StreamingRunner(_predictor(model), max_inflight=2).run(
                 src, plan, _InterruptedSink(resumed, 5))
+        assert threading.active_count() == threads  # the worker was joined
         assert len(resumed.completed(plan)) == 5
         report = StreamingRunner(_predictor(model)).run(src, plan, resumed)
         assert report.tiles_skipped == 5
@@ -250,6 +256,98 @@ class TestCheckpointResume:
         report = runner.run(src, plan, sink)
         assert report.tiles_run == 0
         assert report.tiles_skipped == len(plan.tiles)
+
+
+class _FailingSource:
+    """Forwards to a real source, raising on the read of tile ``k``."""
+
+    def __init__(self, inner, plan, k):
+        self.inner = inner
+        self.kind, self.shape = inner.kind, inner.shape
+        self.bad_origin = plan.tiles[k].origin
+
+    def read_region(self, origin, size):
+        if tuple(origin) == tuple(self.bad_origin):
+            raise OSError("unreadable tile")
+        return self.inner.read_region(origin, size)
+
+
+class TestReadAhead:
+    """Predictor mode reads and preprocesses the next tile on a worker
+    thread; outputs, counters, errors and resume must not notice."""
+
+    def test_sparse_decisions_independent_of_read_ahead(self):
+        """Every tile repeats the first, so tile i+1's short-circuit hits
+        the rows tile i's forward seeds — only if its node is built after
+        that forward. A model slow enough that the drain outlasts the next
+        tile's preprocessing makes building it on the worker show here."""
+        from repro.sparse import SparsityConfig
+
+        one = _wsi(tile=128).read_region((0, 0), (128, 128))
+        src = ArraySource(np.tile(one, (4, 4, 1)))
+        plan = plan_scene(src.shape, tile=128, max_len=256)
+        model = ViTSegmenter(patch_size=4, channels=1, dim=64, depth=6,
+                             heads=2, max_len=256,
+                             rng=np.random.default_rng(1)).eval()
+        sinks, counters = [], []
+        for inflight in (1, 2):
+            pipe = PatchPipeline(patch_size=4, split_value=16.0, channels=1,
+                                 cache_items=2)
+            pred = Predictor(model, pipe, max_batch=2, bucket=16,
+                             sparsity=SparsityConfig(mode="auto"))
+            sink = MemorySink()
+            report = StreamingRunner(pred, max_inflight=inflight).run(
+                src, plan, sink)
+            sinks.append(sink)
+            counters.append(report.sparsity)
+        assert counters[0] == counters[1]
+        assert counters[0]["plans_shortcircuit"] > 0
+        assert counters[0]["table_hits"] > 0
+        for tile in plan.tiles:
+            assert sinks[0].read(tile).tobytes() == \
+                sinks[1].read(tile).tobytes()
+
+    @pytest.mark.parametrize("inflight", [1, 2])
+    def test_read_error_surfaces_after_earlier_tiles(self, tmp_path,
+                                                     inflight):
+        src, plan = _wsi(), _plan()
+        model = _model()
+        straight = NpyDirectorySink(tmp_path / "straight")
+        StreamingRunner(_predictor(model)).run(src, plan, straight)
+
+        k = 6
+        threads = threading.active_count()
+        resumed = NpyDirectorySink(tmp_path / "resumed")
+        with pytest.raises(OSError, match="unreadable tile"):
+            StreamingRunner(_predictor(model), max_inflight=inflight).run(
+                _FailingSource(src, plan, k), plan, resumed)
+        assert threading.active_count() == threads
+        assert resumed.completed(plan) == {t.index for t in plan.tiles[:k]}
+        report = StreamingRunner(_predictor(model), max_inflight=inflight) \
+            .run(src, plan, resumed)
+        assert report.tiles_skipped == k
+        assert resumed.digest(plan) == straight.digest(plan)
+        assert threading.active_count() == threads
+
+    def test_fast_thread_switching_keeps_bytes_and_accounting(self):
+        """The worker and the caller share the report and the pipeline;
+        switching threads every few bytecodes must lose no update."""
+        src, plan = _wsi(), _plan()
+        model = _model()
+        ref = MemorySink()
+        StreamingRunner(_predictor(model), max_inflight=1).run(src, plan, ref)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sink = MemorySink()
+            report = StreamingRunner(_predictor(model), max_inflight=3).run(
+                src, plan, sink)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.bytes_read == RES * RES * 3 * 8
+        assert report.peak_inflight == 3
+        for tile in plan.tiles:
+            assert sink.read(tile).tobytes() == ref.read(tile).tobytes()
 
 
 class TestEngineMode:
