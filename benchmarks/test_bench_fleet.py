@@ -45,6 +45,7 @@ from repro.serve import (InferenceEngine, Predictor, ReplicaDrain,
                          ReplicaKill, ServiceModel, SimClock, build_fleet,
                          merge_traces, poisson_trace, run_fleet_load,
                          run_load)
+from tests.conftest import assert_quiescent
 
 RES = 64
 N_IMAGES = 12
@@ -127,6 +128,7 @@ def test_fleet_load_and_regression_gate():
         clock = SimClock()
         router = _make_fleet(model, clock, n)
         report = run_fleet_load(router, trace, imgs, clock)
+        assert_quiescent(router)
         scaling[n] = report
         if n == REPLICAS:
             routed = [rep["routed"] for rep in report["per_replica"].values()]
@@ -166,12 +168,14 @@ def test_fleet_load_and_regression_gate():
     aff_router = _make_fleet(model, clock, REPLICAS,
                              result_cache_items=CACHE_ITEMS)
     aff_fleet = run_fleet_load(aff_router, aff_trace, imgs, clock)
+    assert_quiescent(aff_router)
     clock = SimClock()
     single = InferenceEngine(_predictor_factory(model)(0), clock=clock.now,
                              service_model=ServiceModel(),
                              flush_deadline=DEADLINE, max_queue=QUEUE,
                              result_cache_items=CACHE_ITEMS)
     aff_single = run_load(single, aff_trace, imgs, clock)
+    assert_quiescent(single)
     single_hit_rate = aff_single["stats"]["result_cache"]["hit_rate"]
 
     # ------------------------------------------------------------------
@@ -191,6 +195,7 @@ def test_fleet_load_and_regression_gate():
     kd = run_fleet_load(kd_router, kd_trace, imgs, clock,
                         events=[ReplicaKill(kill_t, 1),
                                 ReplicaDrain(drain_t, 2)])
+    assert_quiescent(kd_router)
 
     # ------------------------------------------------------------------
     # Report + gates

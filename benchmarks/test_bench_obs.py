@@ -44,6 +44,7 @@ from repro.pipeline import PatchPipeline
 from repro.serve import (InferenceEngine, Predictor, ServiceModel, SimClock,
                          build_fleet, merge_traces, poisson_trace,
                          run_fleet_load)
+from tests.conftest import assert_quiescent
 
 RES = 64
 N_IMAGES = 8
@@ -96,7 +97,9 @@ def _run(model, imgs, tracer):
                          result_cache_items=16, tracer=tr)
     t0 = time.perf_counter()
     report = run_fleet_load(router, _trace_in(), imgs, clock)
-    return report, tr, time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    assert_quiescent(router)
+    return report, tr, seconds
 
 
 def _comparable(report):

@@ -46,6 +46,7 @@ from repro.serve import (Arrival, InferenceEngine, Predictor, ServiceModel,
                          SimClock, merge_traces, poisson_trace, run_load,
                          serial_baseline)
 from repro.train.tasks import prepare_image
+from tests.conftest import assert_quiescent
 
 RES = 64
 N_IMAGES = 12
@@ -123,6 +124,7 @@ def test_serving_load_and_regression_gate():
                       seed=1000 + c, n_items=N_IMAGES)
         for c in range(N_CLIENTS)])
     report = run_load(engine, trace, imgs, clock)
+    assert_quiescent(engine)
 
     ordered = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
     lengths = [pred.bucket_length(len(pred._naturals([imgs[a.item]],
@@ -163,6 +165,7 @@ def test_serving_load_and_regression_gate():
                       seed=2000 + c, n_items=N_IMAGES)
         for c in range(N_CLIENTS)])
     over = run_load(over_engine, over_trace, imgs, clock)
+    assert_quiescent(over_engine)
 
     # ------------------------------------------------------------------
     # Lanes: contended interactive stream + bulk volume jobs, weighted 4:1
@@ -181,6 +184,7 @@ def test_serving_load_and_regression_gate():
         [Arrival(a.time, N_IMAGES + i, "bulk", "volume")
          for i, a in enumerate(poisson_trace(6.0, n_vols, seed=3999))])
     lanes = run_load(lane_engine, lane_trace, items, clock)
+    assert_quiescent(lane_engine)
 
     # ------------------------------------------------------------------
     # Report + gates

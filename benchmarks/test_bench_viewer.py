@@ -48,6 +48,7 @@ from repro.quadtree.morton import morton_sort_order
 from repro.serve import (InferenceEngine, Predictor, ReplicaKill,
                          ServiceModel, SimClock, build_fleet)
 from repro.stream.source import VirtualWSISource
+from tests.conftest import assert_quiescent
 
 WSI_RES = 16384
 TILE = 256
@@ -194,8 +195,10 @@ def test_viewer_load_and_regression_gate():
     # ------------------------------------------------------------------
     svc_p, clock = _engine_service(model, pyramid, policy="priority")
     priority = run_viewer_load(svc_p, trace, clock)
+    assert_quiescent(svc_p)
     svc_f, clock = _engine_service(model, pyramid, policy="fifo")
     fifo = run_viewer_load(svc_f, trace, clock)
+    assert_quiescent(svc_f)
 
     # ------------------------------------------------------------------
     # Identity: every cached tile == direct single-image prediction
@@ -219,6 +222,7 @@ def test_viewer_load_and_regression_gate():
     single = run_viewer_load(
         svc_s, _trace(sessions=1, events=SESSIONS * EVENTS_PER_SESSION),
         clock)
+    assert_quiescent(svc_s)
 
     # ------------------------------------------------------------------
     # Fleet kill mid-pan: cancellations in flight, a replica dies
@@ -227,6 +231,7 @@ def test_viewer_load_and_regression_gate():
     svc_k, clock = _fleet_service(model, pyramid, policy="priority")
     kill = run_viewer_load(svc_k, trace, clock,
                            events=[ReplicaKill(kill_t, 0)])
+    assert_quiescent(svc_k)
 
     # the viewers' working grid: the level-2 tile grid (start level)
     locality = _grid_locality((WSI_RES >> 2) // TILE)

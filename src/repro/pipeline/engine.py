@@ -1,6 +1,6 @@
 """The batched APF serving/training front-end.
 
-:class:`PatchPipeline` wraps the batched patchers with the three things a
+:class:`PatchPipeline` wraps the batched patchers with the two things a
 real workload needs on top of raw batch kernels:
 
 * an **LRU sequence cache** (:class:`~repro.cache.LRU`) keyed on caller
@@ -8,16 +8,13 @@ real workload needs on top of raw batch kernels:
   so every epoch after the first costs a dictionary lookup per image while
   the drop stage stays fresh (Algorithm 1's amortization: the patched
   dataset ``Dp`` is built once, then reused by every epoch);
-* a **thread pool** (``workers=N``) that shards cache misses into
-  sub-batches — workers only compute deterministic natural sequences, so
-  results are identical for any worker count;
 * **collation** to a fixed length ``L`` with per-item seeded drop/pad,
   producing the ``(B, L, C·Pm²)`` tensor + validity mask the models consume.
 
 The pipeline is **dimension-generic**: construct it with an
 :class:`~repro.patching.adaptive.APFConfig` for 2-D images (quadtree APF) or
 a :class:`~repro.patching.volumetric.VolumeAPFConfig` for 3-D volumes
-(octree APF) — cache, workers, and collation behave identically, and
+(octree APF) — cache and collation behave identically, and
 volumetric batches collate to ``(B, L, Pm³)`` tokens with (z, y, x, scale)
 coordinates.
 """
@@ -27,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Hashable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -73,17 +69,14 @@ def content_key(image: np.ndarray) -> Hashable:
 
 
 class PatchPipeline:
-    """Batched, cached, optionally parallel APF preprocessing.
+    """Batched, cached APF preprocessing.
 
     Parameters
     ----------
     config:
         The :class:`APFConfig` (2-D quadtree APF) or :class:`VolumeAPFConfig`
-        (3-D octree APF) shared by all workers; keyword overrides construct
-        an :class:`APFConfig`.
-    workers:
-        0 or 1 runs in-process; ``N > 1`` shards cache misses over ``N``
-        threads (NumPy/SciPy release the GIL in the hot loops).
+        (3-D octree APF); keyword overrides construct an
+        :class:`APFConfig`.
     cache_items:
         LRU capacity in sequences; ``0`` disables caching entirely.
     channels:
@@ -102,10 +95,8 @@ class PatchPipeline:
     """
 
     def __init__(self, config: Optional[Union[APFConfig, VolumeAPFConfig]] = None,
-                 *, workers: int = 0, cache_items: int = 1024,
+                 *, cache_items: int = 1024,
                  channels: Optional[int] = None, **overrides):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.volumetric = isinstance(config, VolumeAPFConfig)
         if self.volumetric:
             if overrides:
@@ -117,7 +108,6 @@ class PatchPipeline:
             self.patcher = BatchedVolumetricPatcher(config)
         else:
             self.patcher = BatchedAdaptivePatcher(config, **overrides)
-        self.workers = workers
         self.cache = LRU(cache_items) if cache_items else None
         self.build_seconds = 0.0     #: wall time spent computing cache misses
         self.channels = channels
@@ -136,15 +126,6 @@ class PatchPipeline:
             return np.asarray(image)
         return prepare_image(image, self.channels).transpose(1, 2, 0)
 
-    def _compute_natural(self, images: List[np.ndarray]) -> List[PatchSequence]:
-        if self.workers <= 1 or len(images) < 2:
-            return self.patcher.extract_natural_batch(images)
-        size = -(-len(images) // self.workers)   # ceil division
-        shards = [images[i:i + size] for i in range(0, len(images), size)]
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            parts = list(pool.map(self.patcher.extract_natural_batch, shards))
-        return [seq for part in parts for seq in part]
-
     def process(self, images: Sequence[np.ndarray],
                 keys: Optional[Sequence[Hashable]] = None
                 ) -> List[PatchSequence]:
@@ -159,7 +140,7 @@ class PatchPipeline:
             raise ValueError(f"got {len(keys)} keys for {len(images)} images")
         images = [self._adapt(im) for im in images]
         if self.cache is None:
-            return self._compute_natural(images)
+            return self.patcher.extract_natural_batch(images)
         if keys is None:
             keys = [content_key(im) for im in images]
         out: List[Optional[PatchSequence]] = [None] * len(images)
@@ -175,7 +156,8 @@ class PatchPipeline:
             # Concurrent misses on the same key may both compute; sequences
             # are deterministic, so the duplicate put is a harmless refresh.
             t0 = time.perf_counter()
-            computed = self._compute_natural([images[i] for i in miss_idx])
+            computed = self.patcher.extract_natural_batch(
+                [images[i] for i in miss_idx])
             build_s = time.perf_counter() - t0
             with self._cache_lock:
                 self.build_seconds += build_s

@@ -343,7 +343,7 @@ class InferenceEngine:
                 fresh_images.append(image)
                 futures.append(req.future)
         # preprocessing outside the engine lock (pipeline has its own), in
-        # ONE batched call so the pipeline's batch kernels/workers apply;
+        # ONE batched call so the pipeline's batch kernels apply;
         # any failure must tear down the reservations, or later identical
         # submissions would chain onto a dead primary and hang forever
         try:
@@ -395,8 +395,8 @@ class InferenceEngine:
         all-or-nothing, so those must go too — otherwise a rejected volume
         leaves phantom twins on a foreign in-flight request, which later
         resolve into thin air (double-counted latency, wasted result
-        copies, and an accounting drift the streaming runner's
-        retry-on-overload loop compounds every retry).
+        copies, and an accounting drift that every retry of the same
+        submission compounds).
         """
         at = self.clock()
         ended = sum(self._finish(req, at, "failed", exc=exc) for req in fresh)

@@ -31,7 +31,7 @@ all stage transitions, and the front-ends are thin adapters over it:
 * :class:`~repro.stream.runner.StreamingRunner` — a **bounded feed**:
   macro-tile plans expand to :class:`TileNode`\\ s (one sequence per
   image tile, one per slice of a volume slab) with at most
-  ``max_inflight`` tiles resident. In predictor mode a worker thread runs
+  ``max_inflight`` tiles resident. A worker thread runs
   :meth:`tile_sequences` (read + APF) for the next tile while the caller
   drains the current one through :meth:`sequence_nodes` and
   :meth:`drain`, in plan order.

@@ -8,10 +8,8 @@ paths bit for bit:
   (:class:`ArraySource`, procedural :class:`VirtualWSISource`);
 * :mod:`.planner` — quadtree-aligned macro-tiles / Z-slabs with
   working-set estimates (:func:`plan_scene`, :func:`plan_volume`);
-* :mod:`.runner` — the bounded-memory loop over
-  :class:`~repro.serve.predictor.Predictor` (read-ahead, bit-exact) or
-  :class:`~repro.serve.engine.InferenceEngine` (overlapped,
-  backpressure-aware);
+* :mod:`.runner` — the bounded-memory loop over a
+  :class:`~repro.serve.predictor.Predictor` (read-ahead, bit-exact);
 * :mod:`.sink` — tile-addressable outputs with atomic checkpoint/resume
   (:class:`MemorySink`, :class:`NpyDirectorySink`).
 """

@@ -1,7 +1,7 @@
 """Viewer and streaming instrumentation: the obs layer above the engine.
 
 The pyramid service emits viewport/tile-ladder instants on the ``viewer``
-track and the streaming runner emits read/submit/retire events on the
+track and the streaming runner emits read/retire/skip events on the
 ``stream`` track — all against the same tracer the backend engine uses,
 so one timeline covers the whole request path.
 """
@@ -200,19 +200,3 @@ class TestStreamTrace:
     def test_disabled_tracer_normalized_away(self):
         report, _ = self._run(Tracer(enabled=False))
         assert report.tiles_run > 0
-
-    def test_engine_mode_inherits_engine_tracer(self):
-        tracer = Tracer()
-        engine = InferenceEngine(_predictor(), tracer=tracer)
-        runner = StreamingRunner(engine=engine, max_inflight=2)
-        assert runner.tracer is tracer
-        src = VirtualWSISource(self.RES, seed=5, organ=2, tile=self.TILE)
-        plan = plan_scene((self.RES, self.RES, 3), tile=self.TILE,
-                          max_len=256)
-        report = runner.run(src, plan, MemorySink())
-        assert report.tiles_run == len(plan.tiles)
-        subs = _events(tracer, "tile.submit")
-        assert len(subs) == report.tiles_run
-        assert all(ev["args"]["lane"] == "bulk" for ev in subs)
-        assert len(_events(tracer, "tile.retire")) == report.tiles_run
-        assert validate_trace(chrome_trace(tracer)) == []

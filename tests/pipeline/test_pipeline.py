@@ -222,19 +222,6 @@ class TestKeying:
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("workers", [0, 2, 4])
-    def test_worker_count_invariant(self, workers):
-        imgs = images(64, 7)
-        base = PatchPipeline(patch_size=4, split_value=2.0, cache_items=0,
-                             target_length=64)
-        pipe = PatchPipeline(patch_size=4, split_value=2.0, cache_items=0,
-                             target_length=64, workers=workers)
-        a = base.collate(imgs, epoch=2)
-        b = pipe.collate(imgs, epoch=2)
-        np.testing.assert_array_equal(a.tokens, b.tokens)
-        np.testing.assert_array_equal(a.valid, b.valid)
-        np.testing.assert_array_equal(a.coords, b.coords)
-
     def test_drops_invariant_to_batch_composition(self):
         # Same key + epoch => same drop pattern regardless of where the
         # image lands in a batch or how large the batch is.
@@ -256,10 +243,6 @@ class TestWorkerDeterminism:
         e1 = pipe.collate(imgs, keys=[0, 1, 2], epoch=1)
         np.testing.assert_array_equal(e0.tokens, e0_again.tokens)
         assert not np.array_equal(e0.tokens, e1.tokens)
-
-    def test_invalid_options(self):
-        with pytest.raises(ValueError):
-            PatchPipeline(workers=-1)
 
 
 class TestCollation:

@@ -172,21 +172,6 @@ class TestVolumetricPipeline:
         assert pipe.stats["misses"] == 3
         assert pipe.stats["hits"] == 3
 
-    def test_worker_count_invariant(self):
-        vols = volumes(32, 5)
-        base = PatchPipeline(VolumeAPFConfig(patch_size=4, split_value=4.0,
-                                             target_length=96),
-                             cache_items=0)
-        for workers in (2, 3):
-            pipe = PatchPipeline(VolumeAPFConfig(patch_size=4, split_value=4.0,
-                                                 target_length=96),
-                                 cache_items=0, workers=workers)
-            a = base.collate(vols, epoch=1)
-            b = pipe.collate(vols, epoch=1)
-            np.testing.assert_array_equal(a.tokens, b.tokens)
-            np.testing.assert_array_equal(a.coords, b.coords)
-            np.testing.assert_array_equal(a.valid, b.valid)
-
     def test_channels_rejected(self):
         with pytest.raises(ValueError):
             PatchPipeline(VolumeAPFConfig(), channels=1)

@@ -1,19 +1,18 @@
 """Tests for the bounded-memory streaming runner: bit-identity against the
-non-streamed paths, checkpoint/resume byte-identity, engine-mode overlap and
-backpressure, sinks, and validation."""
+non-streamed paths, checkpoint/resume byte-identity, read-ahead, sinks, and
+validation."""
 
 import hashlib
 import json
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.models.vit import ViTSegmenter
 from repro.pipeline import PatchPipeline
-from repro.serve import EngineOverloaded, InferenceEngine, Predictor
+from repro.serve import Predictor
 from repro.serve.predictor import class_map
 from repro.stream import (ArraySource, MemorySink, NpyDirectorySink,
                           StreamingRunner, VirtualWSISource, plan_scene,
@@ -110,7 +109,7 @@ class TestPredictorMode:
 
 
 class TestNoContentDigest:
-    """Predictor mode never content-hashes a streamed tile."""
+    """The runner never content-hashes a streamed tile."""
 
     @pytest.mark.parametrize("make", [
         _wsi,
@@ -273,7 +272,7 @@ class _FailingSource:
 
 
 class TestReadAhead:
-    """Predictor mode reads and preprocesses the next tile on a worker
+    """The runner reads and preprocesses the next tile on a worker
     thread; outputs, counters, errors and resume must not notice."""
 
     def test_sparse_decisions_independent_of_read_ahead(self):
@@ -350,173 +349,14 @@ class TestReadAhead:
             assert sink.read(tile).tobytes() == ref.read(tile).tobytes()
 
 
-class TestEngineMode:
-    def test_matches_predictor_mode_class_maps(self):
-        src, plan = _wsi(), _plan()
-        model = _model()
-        serial = MemorySink()
-        StreamingRunner(_predictor(model)).run(src, plan, serial)
-        engine = InferenceEngine(_predictor(model), result_cache_items=0)
-        overlapped = MemorySink()
-        report = StreamingRunner(engine=engine, max_inflight=3).run(
-            src, plan, overlapped)
-        assert 1 < report.peak_inflight <= 3
-        np.testing.assert_array_equal(overlapped.assemble(plan),
-                                      serial.assemble(plan))
-
-    def test_backpressure_retires_inflight_work(self):
-        src, plan = _wsi(), _plan()
-        engine = InferenceEngine(_predictor(), max_queue=1,
-                                 result_cache_items=0)
-        sink = MemorySink()
-        report = StreamingRunner(engine=engine, max_inflight=4).run(
-            src, plan, sink)
-        assert report.backpressure_waits > 0
-        assert report.tiles_run == len(plan.tiles)
-        assert engine.stats()["queue"]["peak_depth"] == 1
-
-    def test_threaded_engine_streams(self):
-        src, plan = _wsi(), _plan()
-        engine = InferenceEngine(_predictor(), flush_deadline=0.001,
-                                 result_cache_items=0)
-        engine.start(warmup=False)
-        try:
-            report = StreamingRunner(engine=engine, max_inflight=2).run(
-                src, plan, MemorySink())
-        finally:
-            engine.stop()
-        assert report.tiles_run == len(plan.tiles)
-
-    def test_oversized_volume_request_surfaces_overload(self):
-        vol = np.random.default_rng(0).random((6, 32, 32))
-        engine = InferenceEngine(_predictor(), max_queue=2,
-                                 result_cache_items=0)
-        runner = StreamingRunner(engine=engine)
-        plan = plan_volume(vol.shape, slab=6)    # one slab > queue capacity
-        with pytest.raises(EngineOverloaded):
-            runner.run(ArraySource(vol, kind="volume"), plan, MemorySink())
-
-    def test_resolve_surfaces_a_stopped_engine_instead_of_hanging(self):
-        # a future the batcher will never resolve must not deadlock the run
-        engine = InferenceEngine(_predictor(), result_cache_items=0)
-        engine.start(warmup=False)
-        runner = StreamingRunner(engine=engine, max_inflight=1)
-        orphan = Future()
-        stopper = threading.Timer(0.3, engine.stop)
-        stopper.start()
-        try:
-            with pytest.raises(RuntimeError, match="still\\s+pending"):
-                runner._resolve(orphan)
-        finally:
-            stopper.join()
-
-    def test_oversized_request_raises_on_started_engine_too(self):
-        # a threaded engine must raise, not sleep-retry forever
-        vol = np.random.default_rng(0).random((6, 32, 32))
-        engine = InferenceEngine(_predictor(), max_queue=2,
-                                 result_cache_items=0)
-        engine.start(warmup=False)
-        try:
-            assert engine.is_running
-            with pytest.raises(EngineOverloaded):
-                StreamingRunner(engine=engine).run(
-                    ArraySource(vol, kind="volume"),
-                    plan_volume(vol.shape, slab=6), MemorySink())
-        finally:
-            engine.stop()
-        assert not engine.is_running
-
-
-class _CountingSink:
-    """Forwards to a real sink, counting writes per tile index."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.writes = {}
-
-    def completed(self, plan):
-        return self.inner.completed(plan)
-
-    def write(self, tile, arr):
-        self.writes[tile.index] = self.writes.get(tile.index, 0) + 1
-        self.inner.write(tile, arr)
-
-
-class TestOverloadMidRun:
-    """Regressions for the EngineOverloaded retire-then-retry path:
-    tiles the engine already accepted must be neither dropped nor
-    double-submitted when the overload fires mid-run."""
-
-    def test_unadmittable_slab_retires_inflight_before_raising(self):
-        from repro.data import generate_ct_volume
-        from repro.stream import MacroTile
-
-        vol = generate_ct_volume(32, 7, seed=3).volume     # (7, 32, 32)
-        model = _model()
-        plan = plan_volume(vol.shape, slab=2, max_len=256)
-        # an admittable 2-slice slab followed by a 5-slice slab that can
-        # never fit the queue (max_queue=2)
-        plan.tiles = [MacroTile(0, (0,), (2,)), MacroTile(1, (2,), (5,))]
-        engine = InferenceEngine(_predictor(model), max_queue=2,
-                                 result_cache_items=0)
-        sink = MemorySink()
-        with pytest.raises(EngineOverloaded):
-            StreamingRunner(engine=engine, max_inflight=4).run(
-                ArraySource(vol, kind="volume"), plan, sink)
-        # the accepted slab was retired into the sink before the raise —
-        # its future is not orphaned and its checkpoint is durable
-        assert sink.completed(plan) == {0}
-        ref = _predictor(model).predict_volume(vol[:2])
-        np.testing.assert_array_equal(sink.read(plan.tiles[0]), ref)
-        # resume with a deeper queue: only the rejected slab runs
-        deeper = InferenceEngine(_predictor(model), max_queue=8,
-                                 result_cache_items=0)
-        report = StreamingRunner(engine=deeper).run(
-            ArraySource(vol, kind="volume"), plan, sink, resume=True)
-        assert report.tiles_skipped == 1
-        assert report.tiles_run == 1
-        full = _predictor(model).predict_volume(vol)
-        np.testing.assert_array_equal(sink.assemble(plan), full)
-
-    def test_kill_and_resume_mid_overload(self, tmp_path):
-        src, plan = _wsi(), _plan()
-        model = _model()
-        disk = NpyDirectorySink(tmp_path / "run", dtype=np.uint8)
-        counting = _CountingSink(disk)
-        # max_queue=1 forces every write through the overload-retire path;
-        # kill on the fourth write — mid-overload, with a tile in flight
-        engine = InferenceEngine(_predictor(model), max_queue=1,
-                                 result_cache_items=0)
-        with pytest.raises(KeyboardInterrupt):
-            StreamingRunner(engine=engine, max_inflight=4).run(
-                src, plan, _InterruptedSink(counting, 3))
-        done = counting.completed(plan)
-        assert 0 < len(done) < len(plan.tiles)
-        # resume under the same overload pressure with a fresh engine
-        engine2 = InferenceEngine(_predictor(model), max_queue=1,
-                                  result_cache_items=0)
-        report = StreamingRunner(engine=engine2, max_inflight=4).run(
-            src, plan, counting, resume=True)
-        assert report.tiles_skipped == len(done)
-        assert report.tiles_run == len(plan.tiles) - len(done)
-        assert report.backpressure_waits > 0
-        # every tile written exactly once across kill + resume: nothing
-        # dropped, nothing double-submitted
-        assert set(counting.writes) == {t.index for t in plan.tiles}
-        assert all(n == 1 for n in counting.writes.values())
-        # and the artifacts are byte-identical to an uninterrupted run
-        ref = NpyDirectorySink(tmp_path / "ref", dtype=np.uint8)
-        StreamingRunner(_predictor(model)).run(src, plan, ref)
-        assert disk.digest(plan) == ref.digest(plan)
-
-
 class TestVolumeStreaming:
-    def test_slab_streaming_matches_per_slab_reference(self):
+    @pytest.mark.parametrize("inflight", [1, 2])
+    def test_slab_streaming_matches_per_slab_reference(self, inflight):
         vol = np.clip(np.random.default_rng(3).random((7, 32, 32)), 0, 1)
         plan = plan_volume(vol.shape, slab=3)
         model = _model()
         sink = MemorySink()
-        StreamingRunner(_predictor(model)).run(
+        StreamingRunner(_predictor(model), max_inflight=inflight).run(
             ArraySource(vol, kind="volume"), plan, sink)
         reference = _predictor(model)
         for tile in plan.tiles:
@@ -525,27 +365,9 @@ class TestVolumeStreaming:
                 [vol[i] for i in range(z0, z0 + d)]))
             np.testing.assert_array_equal(sink.read(tile), expected)
 
-    def test_engine_volume_mode(self):
-        vol = np.clip(np.random.default_rng(4).random((6, 32, 32)), 0, 1)
-        plan = plan_volume(vol.shape, slab=3)
-        model = _model()
-        serial = MemorySink()
-        StreamingRunner(_predictor(model)).run(
-            ArraySource(vol, kind="volume"), plan, serial)
-        engine = InferenceEngine(_predictor(model), result_cache_items=0)
-        overlapped = MemorySink()
-        StreamingRunner(engine=engine, max_inflight=2).run(
-            ArraySource(vol, kind="volume"), plan, overlapped)
-        np.testing.assert_array_equal(overlapped.assemble(plan),
-                                      serial.assemble(plan))
-
 
 class TestValidation:
-    def test_exactly_one_driver(self):
-        with pytest.raises(ValueError):
-            StreamingRunner()
-        with pytest.raises(ValueError):
-            StreamingRunner(_predictor(), engine=object())
+    def test_max_inflight_must_be_positive(self):
         with pytest.raises(ValueError):
             StreamingRunner(_predictor(), max_inflight=0)
 
