@@ -13,14 +13,21 @@ paper-faithful reference implementation). The speed comes from three places:
    arithmetic runs only on those. Every retained computation replays the
    reference operations on the same scalars (same ufuncs, same tap order),
    so the resulting edge mask is equal bit-for-bit, not merely close.
-   Hysteresis labels the weak pixels and reads labels back only there.
+   Work is skipped at three more levels: a 16×16 block whose range is
+   below ``t/(4√2)`` less a rounding slack cannot hold a candidate (a
+   Sobel magnitude is at most 4√2 times its window's range; the proof is
+   in :func:`_screen_candidates`), so the screen runs only on the ~13%
+   of a tile's blocks that can; hysteresis joins the weak pixels over
+   their own coordinates (:func:`_join8`), not over the z² mask; and the
+   channel mean runs per block of rows into per-thread scratch
+   (:func:`~repro.train.tasks._channel_mean`).
 2. **Level-synchronous batched quadtree** (stage 3) via
    :func:`~repro.quadtree.tree.build_tree_batch`: one shared frontier,
    a single region-sum lookup per depth across all images, and summed-area
    tables built only on the ``patch_size`` grid the builder queries.
-3. **Cache-sized dense passes**: the blur and the screen run per block of
-   rows through per-thread scratch buffers, so their ~12 elementwise passes
-   each stay in L2 instead of streaming full-image temporaries.
+3. **Cache-sized dense passes**: the blur runs per block of rows through
+   per-thread scratch buffers, so its ~12 elementwise passes each stay in
+   L2 instead of streaming full-image temporaries.
 
 Dense full-image work (blur, screening, gather) deliberately stays per-image
 inside the batch loop: on bandwidth-bound hosts, streaming a (B, Z, Z)
@@ -36,7 +43,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import as_strided
 
 from ..imaging import gaussian_blur, to_grayscale
 from ..imaging.filters import KSIZE_FOR_RESOLUTION, gaussian_kernel1d
@@ -54,6 +61,11 @@ _SCREEN_SLACK = 2.0 ** -40
 #: Elements per row block in the dense passes: a block of every temporary
 #: stays in L2 instead of streaming full-image arrays through memory.
 _BLOCK = 16384
+
+#: Side of the screen's pixel blocks, and ``1/(4√2)`` rounded down past
+#: the block range's rounding (see :func:`_screen_candidates`).
+_SIDE = 16
+_RANGE_SCALE = 0.17677
 
 
 class _Scratch:
@@ -88,6 +100,10 @@ class _Scratch:
 
 #: Per-thread home of the dense stages' :class:`_Scratch`.
 _local = threading.local()
+
+
+def _thread_scratch() -> _Scratch:
+    return _local.__dict__.setdefault("scratch", _Scratch())
 
 
 def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
@@ -132,6 +148,15 @@ def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
     return out
 
 
+def _bands(a: np.ndarray, b: int) -> np.ndarray:
+    """(Z/b, b+2, n) view of a (Z+2, n) array: band ``i`` is rows
+    [i·b, i·b+b+2), the ``b`` rows of a one-pixel-padded block row and
+    its two halo rows (``b`` divides Z)."""
+    s0, s1 = a.strides
+    return as_strided(a, ((a.shape[0] - 2) // b, b + 2, a.shape[1]),
+                      (b * s0, s0, s1), writeable=False)
+
+
 def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
                        scratch: Optional[_Scratch] = None) -> np.ndarray:
     """Boolean superset of ``{p : sobel_magnitude(f)(p) >= low}``.
@@ -154,41 +179,89 @@ def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
     * the rounded threshold has ``√fl(t²) ≤ low - 2⁻⁴⁰M + 24uM``, and
       2⁻⁴⁰ = 8192u > 150u.
 
+    Block pre-screen: the screen runs only on b×b pixel blocks (b the
+    largest power of two ≤ ``_SIDE`` dividing z) whose 3×3 windows, halo
+    included, span a range ``R = max - min`` with ``fl(R) >=
+    fl(t·_RANGE_SCALE)``. An exact Sobel component sums three
+    differences with weights 1, 2, 1, so the exact magnitude is at most
+    4√2·R. A reference magnitude ≥ ``low`` gives an exact vector length
+    ≥ ``low - 23uM - √2·40uM > low - 81uM > t``, so ``R > t/(4√2)`` and
+    ``fl(R) ≥ R(1-u) > t(1-u)/(4√2) ≥ fl(t·0.17677)``, as
+    ``0.17677·(1+3u) < 1/(4√2) = 0.1767767``: a skipped block holds no
+    such pixel. Active blocks' windows run through the same per-pixel
+    ops as a stack gathered from ``pad``.
+
     ``t`` is kept positive and normal and ``M`` far from overflow; outside
     that (``low`` near 0, ``max|f|`` huge, NaN or inf) every pixel is a
     candidate, which turns the sparse path into the dense reference.
-    The passes run per block of rows.
     """
     z = pad.shape[0] - 2
     t = low - _SCREEN_SLACK * absmax
     if not (t > 2.0 ** -500 and absmax < 2.0 ** 1000):
         return np.ones((z, z), dtype=bool)
-    thr = t * t
     sc = scratch if scratch is not None else _Scratch()
     out = sc.get("scr_out", (z, z), dtype=bool)
-    rows = max(1, _BLOCK // z)
-    dx_buf = sc.get("scr_dx", (rows + 2, z))
-    px_buf = sc.get("scr_px", (rows + 1, z))
-    gx_buf = sc.get("scr_gx", (rows, z))
-    dy_buf = sc.get("scr_dy", (rows, z + 2))
-    py_buf = sc.get("scr_py", (rows, z + 1))
-    gy_buf = sc.get("scr_gy", (rows, z))
-    for r0 in range(0, z, rows):
-        n = min(rows, z - r0)
-        p = pad[r0:r0 + n + 2]
-        dx, px, gx = dx_buf[:n + 2], px_buf[:n + 1], gx_buf[:n]
-        dy, py, gy = dy_buf[:n], py_buf[:n], gy_buf[:n]
-        np.subtract(p[:, 2:], p[:, :-2], out=dx)
-        np.add(dx[:-1], dx[1:], out=px)
-        np.add(px[:-1], px[1:], out=gx)
-        np.subtract(p[2:], p[:-2], out=dy)
-        np.add(dy[:, :-1], dy[:, 1:], out=py)
-        np.add(py[:, :-1], py[:, 1:], out=gy)
+    out.fill(False)
+    b = min(_SIDE, z & -z)           # a power of two that divides z
+    # block ranges: reduce rows first (contiguous passes over the image),
+    # then the small (bands, z+2) results' columns, transposed
+    rows = _bands(pad, b)
+    hi, lo = (np.ascontiguousarray(e.T)
+              for e in (rows.max(axis=1), rows.min(axis=1)))
+    rng = _bands(hi, b).max(axis=1) - _bands(lo, b).min(axis=1)
+    bx, by = np.nonzero(rng >= t * _RANGE_SCALE)
+    nb, (s0, s1) = z // b, pad.strides
+    win = as_strided(pad, (nb, nb, b + 2, b + 2), (b * s0, b * s1, s0, s1),
+                     writeable=False)
+    hits = out.reshape(nb, b, nb, b)
+    # the screen's per-pixel ops over stacks of active blocks
+    step = _BLOCK // b ** 2
+    for k0 in range(0, len(by), step):
+        yy, xx = by[k0:k0 + step], bx[k0:k0 + step]
+        p = win[yy, xx]                                 # (n, b+2, b+2)
+        dx = p[:, :, 2:] - p[:, :, :-2]
+        px = dx[:, :-1] + dx[:, 1:]
+        gx = px[:, :-1] + px[:, 1:]
+        dy = p[:, 2:] - p[:, :-2]
+        py = dy[:, :, :-1] + dy[:, :, 1:]
+        gy = py[:, :, :-1] + py[:, :, 1:]
         np.multiply(gx, gx, out=gx)
         np.multiply(gy, gy, out=gy)
         np.add(gx, gy, out=gx)
-        np.greater_equal(gx, thr, out=out[r0:r0 + n])
+        hits[yy, :, xx] = gx >= t * t
     return out
+
+
+def _join8(ys: np.ndarray, xs: np.ndarray, z: int,
+           scratch: Optional[_Scratch] = None) -> np.ndarray:
+    """Root index per pixel of the set ``{(ys[i], xs[i])}`` in a (z, z)
+    image, equal exactly for 8-connected pixels (``ndimage.label``'s
+    partition) at a cost linear in the set, not in z². Pixels find their
+    right and lower neighbours in an index grid; a union-find hooks each
+    root to its smallest adjacent root (roots only point lower, so no
+    cycle forms) and pointer-jumps until no edge joins two roots.
+    """
+    n, w = len(ys), z + 2
+    sc = scratch if scratch is not None else _Scratch()
+    grid = sc.get_zeros("join", (w * w,), dtype=np.int32)
+    flat = (ys + 1) * w + (xs + 1)
+    grid[flat] = np.arange(1, n + 1)
+    nbr = grid[flat[:, None] + np.array([1, w - 1, w, w + 1])]
+    grid[flat] = 0          # restore the all-zero reuse invariant
+    u, j = np.nonzero(nbr)
+    v = nbr[u, j] - 1
+    root = np.arange(n)
+    while len(u):
+        ru, rv = root[u], root[v]
+        join = ru != rv
+        u, v, ru, rv = u[join], v[join], ru[join], rv[join]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return root
 
 
 def _sparse_canny(f: np.ndarray, low: float, high: float,
@@ -204,8 +277,9 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     screen can never out-compare an NMS candidate (its magnitude is
     provably below ``low`` ≤ the candidate's), so treating it as 0 —
     exactly like the reference's zero padding — changes no decision.
-    Hysteresis labels the weak pixels and reads the labels back only at
-    their coordinates. ``absmax`` is ``max|f|`` when the caller has it.
+    Hysteresis joins the weak pixels by 8-connectivity over their own
+    coordinates (:func:`_join8`). ``absmax`` is ``max|f|`` when the
+    caller has it.
     """
     z = f.shape[0]
     sc = scratch if scratch is not None else _Scratch()
@@ -213,26 +287,23 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
         absmax = max(float(f.max()), -float(f.min()))
     # Symmetric pad (== ndimage mode="reflect") into a reused buffer.
     pad = sc.get("pad", (z + 2, z + 2))
-    pad[1:-1, 1:-1] = f
+    if f.base is not pad:           # else f is already pad's interior
+        pad[1:-1, 1:-1] = f
     pad[1:-1, 0] = f[:, 0]
     pad[1:-1, -1] = f[:, -1]
     pad[0, :] = pad[1, :]
     pad[-1, :] = pad[-2, :]
-    cand = _screen_candidates(pad, low, absmax, sc)
-    cy, cx = np.divmod(np.flatnonzero(cand), z)
+    cand = np.flatnonzero(_screen_candidates(pad, low, absmax, sc))
+    cy, cx = np.divmod(cand, z)
     out = np.zeros((z, z), dtype=bool)
     if not len(cy):
         return out
 
-    yy, xx = cy + 1, cx + 1
-    v00 = pad[yy - 1, xx - 1]
-    v01 = pad[yy - 1, xx]
-    v02 = pad[yy - 1, xx + 1]
-    v10 = pad[yy, xx - 1]
-    v12 = pad[yy, xx + 1]
-    v20 = pad[yy + 1, xx - 1]
-    v21 = pad[yy + 1, xx]
-    v22 = pad[yy + 1, xx + 1]
+    # Flat indices into the padded grids; taps as (dy, dx) -> dy·w + dx.
+    w = z + 2
+    at = cand + 2 * cy + w + 1
+    v00, v01, v02, v10, v12, v20, v21, v22 = (
+        pad.take(at + o) for o in (-w - 1, -w, 1 - w, -1, 1, w - 1, w, w + 1))
     # Tap order of ndimage.correlate(f, _SOBEL_X / _SOBEL_Y, mode="reflect").
     gx = (-1.0) * v00 + 1.0 * v02 + (-2.0) * v10 + 2.0 * v12 \
         + (-1.0) * v20 + 1.0 * v22
@@ -248,27 +319,23 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     sector[(a >= 3 * np.pi / 8) & (a < 5 * np.pi / 8)] = 2
     sector[(a >= 5 * np.pi / 8) & (a < 7 * np.pi / 8)] = 3
 
-    # Comparison neighbours per sector (gradient direction, across the edge).
-    n1 = np.array([(0, 1), (-1, 1), (-1, 0), (-1, -1)], dtype=np.int64)
-    magf = sc.get_zeros("magf", (z + 2, z + 2))
-    magf[yy, xx] = mag      # 1-offset grid: out-of-image lookups read 0.0
-    o1 = n1[sector]
-    m1 = magf[yy + o1[:, 0], xx + o1[:, 1]]
-    m2 = magf[yy - o1[:, 0], xx - o1[:, 1]]
-    magf[yy, xx] = 0.0      # restore the all-zero reuse invariant
+    # Comparison neighbours per sector (gradient direction, across the
+    # edge): (0, 1), (-1, 1), (-1, 0), (-1, -1).
+    o1 = np.array([1, 1 - w, -w, -w - 1])[sector]
+    magf = sc.get_zeros("magf", (w * w,))
+    magf[at] = mag          # 1-offset grid: out-of-image lookups read 0.0
+    m1, m2 = magf.take(at + o1), magf.take(at - o1)
+    magf[at] = 0.0          # restore the all-zero reuse invariant
     keep = (mag >= m1) & (mag >= m2)
 
     weak = keep & (mag >= low)
     wy, wx = cy[weak], cx[weak]
     if not len(wy):
         return out
-    out[wy, wx] = True
-    labels, n = ndimage.label(out, structure=np.ones((3, 3), dtype=bool))
-    strong = keep & (mag >= high)
-    has_strong = np.zeros(n + 1, dtype=bool)
-    has_strong[labels[cy[strong], cx[strong]]] = True
-    has_strong[0] = False
-    out[wy, wx] = has_strong[labels[wy, wx]]
+    root = _join8(wy, wx, z, sc)
+    has_strong = np.zeros(len(wy), dtype=bool)
+    has_strong[root[(mag >= high)[weak]]] = True
+    out[wy, wx] = has_strong[root]
     return out
 
 
@@ -342,7 +409,7 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
         either in float64, so the trees are the same.
         """
         cfg = self.config
-        scratch = _local.__dict__.setdefault("scratch", _Scratch())
+        scratch = _thread_scratch()
         out = []
         for image in images:
             gray = to_grayscale(np.asarray(image, dtype=np.float64))
@@ -361,9 +428,10 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
                 absmax = max(hi, -lo)
                 # canny_edges rescales [0,1] inputs to the 0-255 scale;
                 # x -> fl(255·x) is monotone and odd, so max|f| scales too.
+                # (scaled straight into the screen's padded buffer)
                 if f.size and hi <= 1.0 + 1e-9:
-                    f = np.multiply(blurred, 255.0,
-                                    out=scratch.get("fscale", blurred.shape))
+                    f = np.multiply(blurred, 255.0, out=scratch.get(
+                        "pad", (z + 2, z + 2))[1:-1, 1:-1])
                     absmax *= 255.0
                 out.append(_sparse_canny(f, cfg.canny_low, cfg.canny_high,
                                          scratch, absmax))

@@ -33,7 +33,7 @@ from ..patching.adaptive import APFConfig
 from ..patching.sequence import PatchSequence
 from ..patching.volumetric import VolumeAPFConfig
 from ..train.tasks import prepare_image
-from .batched import BatchedAdaptivePatcher
+from .batched import BatchedAdaptivePatcher, _thread_scratch
 from .collate import CollatedBatch, collate_batch
 from .volumetric import BatchedVolumetricPatcher
 
@@ -121,10 +121,13 @@ class PatchPipeline:
         return self.patcher.config
 
     # -- core ------------------------------------------------------------
-    def _adapt(self, image: np.ndarray) -> np.ndarray:
+    def _adapt(self, image: np.ndarray, slot: int) -> np.ndarray:
+        """Channel-adapted (Z, Z, C) view: a channel mean lands in this
+        thread's scratch, one buffer per batch slot (``gather`` copies)."""
         if self.channels is None:
             return np.asarray(image)
-        return prepare_image(image, self.channels).transpose(1, 2, 0)
+        out = _thread_scratch().get(f"adapt{slot}", np.shape(image)[:2] + (1,))
+        return prepare_image(image, self.channels, out).transpose(1, 2, 0)
 
     def process(self, images: Sequence[np.ndarray],
                 keys: Optional[Sequence[Hashable]] = None
@@ -138,7 +141,7 @@ class PatchPipeline:
         """
         if keys is not None and len(keys) != len(images):
             raise ValueError(f"got {len(keys)} keys for {len(images)} images")
-        images = [self._adapt(im) for im in images]
+        images = [self._adapt(im, i) for i, im in enumerate(images)]
         if self.cache is None:
             return self.patcher.extract_natural_batch(images)
         if keys is None:

@@ -67,6 +67,11 @@ class StreamReport:
     #: tokens skipped/merged, cache traffic) — ``None`` when the serving
     #: predictor has no sparsity runtime attached.
     sparsity: Optional[dict] = None
+    #: Busy seconds per lane: the read-ahead worker's tile reads + APF
+    #: preprocessing, and the calling thread's node build, drain, reduce
+    #: and sink write (waits excluded); the slower lane sets the tile rate.
+    worker_busy_s: float = 0.0
+    caller_busy_s: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,7 +121,8 @@ class StreamingRunner:
         flat.update({f"plans_{k}": v for k, v in rt.stats["plans"].items()})
         return flat
 
-    def _retire_oldest(self, inflight: deque, sink, kind: str) -> None:
+    def _retire_oldest(self, inflight: deque, sink, kind: str,
+                       report: StreamReport) -> None:
         """Take the oldest in-flight tile to the sink (plan order).
 
         Node building, drain and reduce run here, on the calling thread,
@@ -124,11 +130,13 @@ class StreamingRunner:
         (re-raising its error, if any).
         """
         tile, fut = inflight.popleft()
+        seqs = fut.result()
+        t0 = time.perf_counter()
         sched = self.predictor.scheduler
-        node = TileNode(kind=kind,
-                        children=sched.sequence_nodes(fut.result()))
+        node = TileNode(kind=kind, children=sched.sequence_nodes(seqs))
         sched.drain(node.children)
         sink.write(tile, sched.reduce_tile(node))
+        report.caller_busy_s += time.perf_counter() - t0
         if self.tracer is not None:
             self.tracer.instant("tile.retire", "stream", self.tracer.clock(),
                                 args={"index": tile.index})
@@ -186,12 +194,12 @@ class StreamingRunner:
                 report.peak_inflight = max(report.peak_inflight,
                                            len(inflight))
                 while len(inflight) >= self.max_inflight:
-                    self._retire_oldest(inflight, sink, kind)
+                    self._retire_oldest(inflight, sink, kind, report)
                 report.tiles_run += 1
                 if tracer is not None:
                     tracer.update()
             while inflight:
-                self._retire_oldest(inflight, sink, kind)
+                self._retire_oldest(inflight, sink, kind, report)
         finally:
             # no thread outlives run(): drop queued read-aheads, wait out
             # the one running
@@ -218,8 +226,9 @@ class StreamingRunner:
         for the drain. A streamed tile is read once and never recurs, so
         its children get fresh keys that match no cache entry: the
         pipeline never hashes their pixels. Only this thread adds to
-        ``bytes_read`` while the run is live.
+        ``bytes_read`` and ``worker_busy_s`` while the run is live.
         """
+        t0 = time.perf_counter()
         tr = self.tracer
         r0 = tr.clock() if tr is not None else 0.0
         region = source.read_region(tile.origin, tile.size)
@@ -230,5 +239,7 @@ class StreamingRunner:
                               "bytes": int(region.nbytes)})
         report.bytes_read += region.nbytes
         n = region.shape[0] if kind == "volume" else 1
-        return self.predictor.scheduler.tile_sequences(
+        seqs = self.predictor.scheduler.tile_sequences(
             region, kind, keys=[object() for _ in range(n)])
+        report.worker_busy_s += time.perf_counter() - t0
+        return seqs

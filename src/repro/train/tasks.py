@@ -10,7 +10,7 @@ trained with uniform *or* adaptive patching by swapping only the patcher
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,35 +24,50 @@ __all__ = ["TokenSegmentationTask", "VolumeSegmentationTask",
            "prepare_image"]
 
 
-def _channel_mean(img: np.ndarray) -> np.ndarray:
+#: Elements per row block of :func:`_channel_mean`.
+_MEAN_BLOCK = 16384
+
+
+def _channel_mean(img: np.ndarray, out: Optional[np.ndarray] = None
+                  ) -> np.ndarray:
     """``img.mean(axis=2, keepdims=True)`` for a float64 (Z, Z, C) image.
 
     For C < 8 NumPy's sum is sequential in channel order, starting from
     +0.0 (so all-−0.0 channels give +0.0), in every memory layout;
-    replaying it as per-channel whole-plane adds gives the same values
-    without the slow strided reduction over a short inner axis. From
-    C = 8 a contiguous channel axis is summed pairwise, so ``mean`` stays.
-    Only a NaN's payload bits can differ: NumPy's loops pick which NaN
-    operand to propagate by loop kind.
+    replaying it as ``((+0.0 + c0) + c1 + ...) / C`` per block of rows,
+    into ``out`` (Z, Z, 1) when given, gives the same values without the
+    slow reduction over a short inner axis. Whole-plane adds would read
+    an interleaved tile at a C·8-byte stride once per channel, streaming
+    every cache line C times; a row block's lines stay in cache for all
+    C. From C = 8 a contiguous channel axis is summed pairwise, so
+    ``mean`` stays. Only a NaN's payload bits can differ: NumPy's loops
+    pick which NaN operand to propagate by loop kind.
     """
-    c = img.shape[2]
+    z, w, c = img.shape
     if not 0 < c < 8:
         return img.mean(axis=2, keepdims=True)
-    acc = img[:, :, 0] + 0.0
-    for i in range(1, c):
-        acc += img[:, :, i]
-    acc /= c
-    return acc[:, :, None]
+    if out is None:
+        out = np.empty((z, w, 1))
+    rows = max(1, _MEAN_BLOCK // max(w, 1))
+    for r0 in range(0, z, rows):
+        blk, acc = img[r0:r0 + rows], out[r0:r0 + rows, :, 0]
+        np.add(blk[:, :, 0], 0.0, out=acc)
+        for i in range(1, c):
+            acc += blk[:, :, i]
+        acc /= c
+    return out
 
 
-def prepare_image(image: np.ndarray, channels: int) -> np.ndarray:
-    """Convert a sample image to (C, Z, Z) with the model's channel count."""
+def prepare_image(image: np.ndarray, channels: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Convert a sample image to (C, Z, Z) with the model's channel count
+    (a channel mean lands in ``out`` when given)."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
     if img.shape[2] != channels:
         if channels == 1:
-            img = _channel_mean(img)
+            img = _channel_mean(img, out)
         elif img.shape[2] == 1:
             img = np.repeat(img, channels, axis=2)
         else:

@@ -1,17 +1,21 @@
 """Batched-vs-single equivalence: the batched engine must reproduce the
 reference per-image patcher bit-for-bit, including the random drop stream."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.data import generate_wsi
 from repro.imaging import gaussian_blur, sobel_gradients, to_grayscale
 from repro.imaging.canny import canny_edges
 from repro.patching import AdaptivePatcher, APFConfig
-from repro.pipeline import BatchedAdaptivePatcher
-from repro.pipeline.batched import (_blur3_exact, _screen_candidates,
+from repro.pipeline import BatchedAdaptivePatcher, PatchPipeline
+from repro.pipeline.batched import (_RANGE_SCALE, _SCREEN_SLACK, _SIDE,
+                                    _blur3_exact, _join8, _screen_candidates,
                                     _sparse_canny)
 from repro.quadtree import build_quadtree, build_tree_batch
 
@@ -128,6 +132,145 @@ class TestAdversarialCanny:
             cand = _screen_candidates(np.pad(f, 1, mode="symmetric"), 100.0,
                                       f.max())
             assert cand[:, 1:-1].all()
+
+
+def assert_canny_identity(img, low=100.0, high=200.0):
+    """``_sparse_canny`` equals ``canny_edges`` bitwise and the screen keeps
+    every pixel whose reference magnitude reaches ``low``."""
+    # The same 0-255 rescale canny_edges and detail_map_batch apply.
+    f = img * 255.0 if img.max() <= 1.0 + 1e-9 else img
+    absmax = max(f.max(), -f.min())
+    cand = _screen_candidates(np.pad(f, 1, mode="symmetric"), low, absmax)
+    assert not ((sobel_gradients(f)[2] >= low) & ~cand).any()
+    np.testing.assert_array_equal(_sparse_canny(f, low, high),
+                                  canny_edges(img, low, high))
+
+
+class TestBlockScreen:
+    """The 2-D block pre-screen: skipped blocks hold no pixel whose
+    reference magnitude reaches ``low``, whatever sits on a block border."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("at", [1, _SIDE - 1, _SIDE, _SIDE + 1,
+                                    2 * _SIDE, 63])
+    @pytest.mark.parametrize("k", [-2, 0, 2])
+    def test_step_in_a_halo_row_or_column(self, axis, at, k):
+        # A step of height h at row ``at`` has |gy| = 4h on rows at-1 and
+        # at: with at = b, block row 0 sees it only through its halo row.
+        h = 25.0 * (1.0 + k * np.finfo(np.float64).eps)   # |∇| ≈ low
+        f = np.full((64, 64), 40.0)
+        f[at:] += h
+        f[at:, 40:] += 2 * h                   # strong pixels to join
+        assert_canny_identity(f if axis == 0 else f.T.copy())
+
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    def test_block_range_at_the_skip_threshold(self, k):
+        # Block (1, 1)'s window, halo included, spans a ramp whose range
+        # sits k ulps around the skip threshold fl(t·_RANGE_SCALE):
+        # skipped or screened, it yields no candidate (|∇| ≤ 4√2·R < t),
+        # while an edge elsewhere still does.
+        low, b = 100.0, _SIDE
+        f = np.zeros((64, 64))
+        f[40:, :8] = 150.0
+        t = low - _SCREEN_SLACK * 150.0
+        r = t * _RANGE_SCALE * (1.0 + k * np.finfo(np.float64).eps)
+        ys, xs = np.mgrid[0:b + 2, 0:b + 2]
+        f[b - 1:2 * b + 1, b - 1:2 * b + 1] = r * ((ys + xs) / (2 * b + 2))
+        assert f.max() == 150.0 and f[b - 1:2 * b + 1, 2 * b].max() == r
+        assert_canny_identity(f)
+        cand = _screen_candidates(np.pad(f, 1, mode="symmetric"), low, 150.0)
+        assert not cand[b:2 * b, b:2 * b].any()
+        assert cand[38:42, :8].any()
+
+    @pytest.mark.parametrize("z", [2, 3, 24, 130])
+    @pytest.mark.parametrize("unit", [1.0, 255.0])
+    def test_sizes_not_a_multiple_of_the_block(self, z, unit):
+        rng = np.random.default_rng(z)
+        img = np.kron(rng.integers(0, 4, (z // 2 + 1, z // 2 + 1)),
+                      np.ones((2, 2)))[:z, :z] * 60.0
+        img += rng.random((z, z)) * 20.0
+        assert_canny_identity(img / 255.0 if unit == 1.0 else img)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_piecewise_constant_images(self, data):
+        z = data.draw(st.integers(2, 80))
+        cells = data.draw(st.integers(1, 12))
+        levels = data.draw(st.lists(st.floats(0.0, 255.0), min_size=cells,
+                                    max_size=cells))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid = rng.integers(0, cells, (cells, cells))
+        idx = (np.arange(z) * cells) // z
+        img = np.asarray(levels)[grid[np.ix_(idx, idx)]]
+        low, high = data.draw(st.sampled_from([(100.0, 200.0), (20.0, 30.0),
+                                               (1.0, 250.0)]))
+        unit = data.draw(st.sampled_from([1.0, 255.0]))
+        assert_canny_identity(img / 255.0 if unit == 1.0 else img, low, high)
+
+
+class TestWeakJoin:
+    @pytest.mark.parametrize("z", [1, 2, 5, 33, 64])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.6, 1.0])
+    def test_partition_matches_ndimage_label(self, z, density):
+        rng = np.random.default_rng([z, int(density * 100)])
+        for _ in range(3):
+            mask = rng.random((z, z)) < density
+            ys, xs = np.nonzero(mask)
+            root = _join8(ys, xs, z)
+            labels = ndimage.label(mask, structure=np.ones((3, 3)))[0][ys, xs]
+            pairs = set(zip(root.tolist(), labels.tolist()))
+            assert len(pairs) == len(set(root.tolist())) \
+                == len(set(labels.tolist()))
+
+    def test_long_snake_and_empty_set(self):
+        z = 31
+        mask = np.zeros((z, z), dtype=bool)
+        mask[::2] = True                        # rows joined at alternate
+        mask[1::4, -1] = mask[3::4, 0] = True   # ends: one long path
+        ys, xs = np.nonzero(mask)
+        assert len(set(_join8(ys, xs, z).tolist())) == 1
+        assert len(_join8(ys[:0], xs[:0], z)) == 0
+
+
+class TestScratchAliasing:
+    """The channel adapt and the screen write into per-thread scratch;
+    no returned sequence may keep a view of it."""
+
+    @staticmethod
+    def _reference(img):
+        gray = img.mean(axis=2)
+        return AdaptivePatcher(patch_size=4, split_value=2.0).extract(gray)
+
+    def test_three_image_batch(self):
+        imgs = images(64, 3)
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, channels=1,
+                             cache_items=0)
+        for got, img in zip(pipe.process(imgs), imgs):
+            assert_seq_identical(got, self._reference(img))
+
+    @pytest.mark.parametrize("cache_items", [0, 8])
+    def test_earlier_results_survive_later_calls(self, cache_items):
+        a, b = images(64, 2)
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, channels=1,
+                             cache_items=cache_items)
+        first = pipe.process([a])[0]
+        kept = first.patches.copy()
+        pipe.process([b, a[::-1]])
+        np.testing.assert_array_equal(first.patches, kept)
+        again = pipe.process([a])[0]
+        np.testing.assert_array_equal(again.patches, kept)
+        assert (again is first) == bool(cache_items)
+
+    def test_two_threads_at_once(self):
+        imgs = images(64, 6)
+        pipe = PatchPipeline(patch_size=4, split_value=2.0, channels=1,
+                             cache_items=0)
+        want = [self._reference(im) for im in imgs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                got = list(pool.map(lambda im: pipe.process([im])[0], imgs))
+                for g, w in zip(got, want):
+                    assert_seq_identical(g, w)
 
 
 class TestBatchedTree:

@@ -89,6 +89,18 @@ class TestPredictorMode:
         assert 0 < report.peak_traced_bytes < 4 * plan.working_set_bytes()
         assert report.seconds > 0
 
+    @pytest.mark.parametrize("inflight", [1, 2])
+    def test_lane_busy_times(self, inflight):
+        src, plan = _wsi(), _plan()
+        report = StreamingRunner(_predictor(), max_inflight=inflight).run(
+            src, plan, MemorySink())
+        assert report.worker_busy_s > 0 and report.caller_busy_s > 0
+        # one lane per thread: neither lane is busy longer than the run
+        assert report.worker_busy_s <= report.seconds
+        assert report.caller_busy_s <= report.seconds
+        assert report.worker_busy_s + report.caller_busy_s \
+            <= 2 * report.seconds
+
     def test_memory_and_directory_sinks_agree(self, tmp_path):
         src, plan = _wsi(), _plan()
         model = _model()

@@ -126,6 +126,18 @@ class TestPrepareImage:
                 np.testing.assert_array_equal(bits(out), bits(want),
                                               err_msg=name)
 
+    @pytest.mark.parametrize("shape", [(700, 50, 3), (3, 20000, 2),
+                                       (130, 130, 7)])
+    def test_row_blocks_into_out_buffer(self, shape):
+        # Row blocks (several, one row each, one partial) and a caller's
+        # buffer change no byte of the mean.
+        img = np.random.default_rng(shape[0]).standard_normal(shape)
+        buf = np.full(shape[:2] + (1,), np.nan)
+        out = prepare_image(img, 1, out=buf)
+        assert np.shares_memory(out, buf)
+        np.testing.assert_array_equal(
+            out, img.mean(axis=2, keepdims=True).transpose(2, 0, 1))
+
 
 class TestTrainerCore:
     def _quick_task(self):
