@@ -79,13 +79,14 @@ def patchify_labels(mask: np.ndarray, seq) -> np.ndarray:
     return gather(m, seq, seq.patch_size)[:, None]
 
 
-def stitch(seq, values: np.ndarray) -> np.ndarray:
+def stitch(seq, values: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Paint per-token maps back over each token's leaf.
 
     ``values`` is ``(L, K) + (Pm,)*d``: each map is repeated up to its
     leaf's size (nearest) or, for a leaf smaller than Pm, averaged down.
-    Returns ``(K,) + (Z,)*d`` float64, 0 where no token lies (dropped
-    leaves, padding).
+    Returns ``(K,) + (Z,)*d`` in ``dtype``, 0 where no token lies
+    (dropped leaves, padding). An integer ``dtype`` (labels) is painted
+    by repetition only, so it takes no leaf smaller than Pm.
     """
     v = np.asarray(values)
     d = len(seq.AXES)
@@ -95,13 +96,15 @@ def stitch(seq, values: np.ndarray) -> np.ndarray:
                          f"of length {len(seq)} with {d}-D patches of {pm}")
     k = v.shape[1]
     z = seq.scene_size
-    out = np.zeros((k,) + (z,) * d, dtype=np.float64)
+    out = np.zeros((k,) + (z,) * d, dtype=dtype)
     for s, idx, key in _groups(seq):
         up = v[idx]                                   # (g, K, pm...)
         if s > pm:
             for axis in range(2, d + 2):
                 up = np.repeat(up, s // pm, axis=axis)
         elif s < pm:
+            if not np.issubdtype(out.dtype, np.inexact):
+                raise ValueError(f"cannot average {out.dtype} below Pm")
             f = pm // s
             up = up.reshape((len(idx), k) + (s, f) * d).mean(
                 axis=tuple(range(3, 2 * d + 2, 2)))

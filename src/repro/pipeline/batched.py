@@ -6,30 +6,30 @@ per-image :class:`~repro.patching.adaptive.AdaptivePatcher` (the readable,
 paper-faithful reference implementation). The speed comes from three places:
 
 1. **Screened sparse Canny** (stages 1-2). Detail is spatially sparse — the
-   paper's core premise — so most pixels cannot possibly reach the low
-   hysteresis threshold. A separable Sobel screen compares ``gx²+gy²`` with
-   ``low`` minus a proven rounding slack (2⁻⁴⁰·max|f|) and keeps ~2% of the
-   pixels of a whole-slide tile; the exact Sobel / NMS / threshold
-   arithmetic runs only on those. Every retained computation replays the
-   reference operations on the same scalars (same ufuncs, same tap order),
-   so the resulting edge mask is equal bit-for-bit, not merely close.
-   Work is skipped at three more levels: a 16×16 block whose range is
-   below ``t/(4√2)`` less a rounding slack cannot hold a candidate (a
-   Sobel magnitude is at most 4√2 times its window's range; the proof is
-   in :func:`_screen_candidates`), so the screen runs only on the ~13%
-   of a tile's blocks that can; hysteresis joins the weak pixels over
-   their own coordinates (:func:`_join8`), not over the z² mask; and the
-   channel mean runs per block of rows into per-thread scratch
-   (:func:`~repro.train.tasks._channel_mean`).
+   paper's core premise. A 16×16 block whose range is below ``t/(4√2)``
+   less a rounding slack cannot reach the low hysteresis threshold (a
+   Sobel magnitude is at most 4√2 times its window's range), and the
+   gray range over a window two pixels wider bounds it, as the blur is
+   a convex combination. Only the ~13% of a tile's blocks that pass are
+   blurred (:func:`_blurred_canny`) and screened: a separable Sobel
+   compares ``gx²+gy²`` with ``low`` minus a slack (2⁻⁴⁰·max|f|),
+   keeping ~2% of the pixels for the exact Sobel / NMS / threshold
+   arithmetic, and hysteresis joins the weak pixels over their own
+   coordinates (:func:`_join8`). Every retained computation replays the
+   reference operations on the same scalars (same ufuncs, same tap
+   order), so the edge mask is equal bit-for-bit, not merely close (the
+   proofs are in :func:`_screen_candidates` and :func:`_blurred_canny`).
+   The channel mean runs per block of rows into per-thread scratch
 2. **Level-synchronous batched quadtree** (stage 3) via
    :func:`~repro.quadtree.tree.build_tree_batch`: one shared frontier,
    a single region-sum lookup per depth across all images, and summed-area
    tables built only on the ``patch_size`` grid the builder queries.
-3. **Cache-sized dense passes**: the blur runs per block of rows through
-   per-thread scratch buffers, so its ~12 elementwise passes each stay in
-   L2 instead of streaming full-image temporaries.
+3. **Cache-sized dense passes**: a full blur (other kernels, the variance
+   criterion, or gray bounds that leave ``canny_edges``' rescale open)
+   runs per block of rows through per-thread scratch buffers, so its
+   ~12 elementwise passes each stay in L2.
 
-Dense full-image work (blur, screening, gather) deliberately stays per-image
+Dense full-image work (reductions, gather) deliberately stays per-image
 inside the batch loop: on bandwidth-bound hosts, streaming a (B, Z, Z)
 float64 stack through elementwise ops is measurably *slower* than per-image
 passes that fit in cache, while the small-array tree stage genuinely
@@ -66,6 +66,9 @@ _BLOCK = 16384
 #: the block range's rounding (see :func:`_screen_candidates`).
 _SIDE = 16
 _RANGE_SCALE = 0.17677
+
+#: ``gaussian_kernel1d(3)``'s side and centre taps.
+_K0, _K1 = gaussian_kernel1d(3)[:2]
 
 
 class _Scratch:
@@ -117,7 +120,6 @@ def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
     Both passes run per block of rows, which changes no operation.
     The result lives in a scratch buffer — consume it before the next call.
     """
-    k0, k1 = gaussian_kernel1d(3)[:2]
     z, w = gray.shape
     sc = scratch if scratch is not None else _Scratch()
     out = sc.get("blur_out", gray.shape)
@@ -127,7 +129,7 @@ def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
     for r0 in range(0, z, rows):
         r1 = min(r0 + rows, z)
         pair, t, o = pair_buf[:r1 - r0], t_buf[:r1 - r0], out[r0:r1]
-        # Vertical pass: t = k1*gray + k0*(up + down), reflect boundary.
+        # Vertical pass: t = K1*gray + K0*(up + down), reflect boundary.
         lo, hi = max(r0, 1), min(r1, z - 1)         # rows inside the image
         np.add(gray[lo - 1:hi - 1], gray[lo + 1:hi + 1],
                out=pair[lo - r0:hi - r0])
@@ -135,36 +137,59 @@ def _blur3_exact(gray: np.ndarray, scratch: Optional[_Scratch] = None
             np.add(gray[0], gray[1], out=pair[0])    # up reflects to row 0
         if r1 == z:
             np.add(gray[-2], gray[-1], out=pair[-1])  # down reflects
-        np.multiply(pair, k0, out=pair)
-        np.multiply(gray[r0:r1], k1, out=t)
+        np.multiply(pair, _K0, out=pair)
+        np.multiply(gray[r0:r1], _K1, out=t)
         np.add(t, pair, out=t)
         # Horizontal pass on t, same accumulation.
         np.add(t[:, :-2], t[:, 2:], out=pair[:, 1:-1])
         np.add(t[:, 0], t[:, 1], out=pair[:, 0])
         np.add(t[:, -2], t[:, -1], out=pair[:, -1])
-        np.multiply(pair, k0, out=pair)
-        np.multiply(t, k1, out=o)
+        np.multiply(pair, _K0, out=pair)
+        np.multiply(t, _K1, out=o)
         np.add(o, pair, out=o)
     return out
 
 
-def _bands(a: np.ndarray, b: int) -> np.ndarray:
-    """(Z/b, b+2, n) view of a (Z+2, n) array: band ``i`` is rows
-    [i·b, i·b+b+2), the ``b`` rows of a one-pixel-padded block row and
-    its two halo rows (``b`` divides Z)."""
-    s0, s1 = a.strides
-    return as_strided(a, ((a.shape[0] - 2) // b, b + 2, a.shape[1]),
-                      (b * s0, s0, s1), writeable=False)
+def _widen(blocks: np.ndarray, red, h: int) -> np.ndarray:
+    """``red`` (``np.maximum``/``np.minimum``) over each row block of a
+    (nb, b, m) view, widened by ``h`` rows per side, clipped: (nb, m)."""
+    b, win = blocks.shape[1], red.reduce(blocks, axis=1)
+    for d in range(1, -(-h // b) + 1):
+        n = min(h - (d - 1) * b, b)     # rows of the d-th neighbour inside
+        red(win[d:], red.reduce(blocks[:, b - n:], axis=1)[:-d], out=win[d:])
+        red(win[:-d], red.reduce(blocks[:, :n], axis=1)[d:], out=win[:-d])
+    return win
+
+
+def _block_extrema(a: np.ndarray, b: int, h: int) -> list:
+    """``[max, min]`` of a (z, z) array over its b×b blocks widened by
+    ``h`` pixels per side and clipped, each (z/b, z/b): rows first
+    (contiguous passes over the image), then the small results' columns."""
+    nb = a.shape[0] // b
+    return [_widen(np.ascontiguousarray(_widen(a.reshape(
+        nb, b, a.shape[1]), red, h).T).reshape(nb, b, nb), red, h).T
+        for red in (np.maximum, np.minimum)]
+
+
+def _threshold(low: float, absmax: float) -> Optional[tuple]:
+    """The screen's ``t`` and block cut ``fl(t·_RANGE_SCALE) -
+    2⁻⁴⁰·absmax`` (see :func:`_screen_candidates`), or None outside its
+    proof's safe range."""
+    t = low - _SCREEN_SLACK * absmax
+    if t > 2.0 ** -500 and absmax < 2.0 ** 1000:
+        return t, t * _RANGE_SCALE - _SCREEN_SLACK * absmax
+    return None
 
 
 def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
-                       scratch: Optional[_Scratch] = None) -> np.ndarray:
+                       scratch: Optional[_Scratch] = None,
+                       blocks: Optional[tuple] = None) -> np.ndarray:
     """Boolean superset of ``{p : sobel_magnitude(f)(p) >= low}``.
 
-    ``pad`` is ``f`` reflect-padded by one pixel and ``absmax`` is
-    ``max|f|``. The screen is a separable Sobel over ``pad`` — a central
-    difference, then 1-2-1 smoothing as two adjacent-pair sums — kept
-    where ``gx²+gy² >= t²`` with ``t = low - 2⁻⁴⁰·max|f|``. With
+    ``pad`` is ``f`` reflect-padded by one pixel and ``absmax`` is at
+    least ``max|f|``. The screen is a separable Sobel over ``pad`` — a
+    central difference, then 1-2-1 smoothing as two adjacent-pair sums —
+    kept where ``gx²+gy² >= t²`` with ``t = low - 2⁻⁴⁰·absmax``. With
     ``u = 2⁻⁵³`` and ``M = max|f|`` it is a superset because:
 
     * the reference sums six exact taps (weights ±1, ±2) whose partial
@@ -179,37 +204,39 @@ def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
     * the rounded threshold has ``√fl(t²) ≤ low - 2⁻⁴⁰M + 24uM``, and
       2⁻⁴⁰ = 8192u > 150u.
 
-    Block pre-screen: the screen runs only on b×b pixel blocks (b the
-    largest power of two ≤ ``_SIDE`` dividing z) whose 3×3 windows, halo
-    included, span a range ``R = max - min`` with ``fl(R) >=
-    fl(t·_RANGE_SCALE)``. An exact Sobel component sums three
-    differences with weights 1, 2, 1, so the exact magnitude is at most
-    4√2·R. A reference magnitude ≥ ``low`` gives an exact vector length
-    ≥ ``low - 23uM - √2·40uM > low - 81uM > t``, so ``R > t/(4√2)`` and
-    ``fl(R) ≥ R(1-u) > t(1-u)/(4√2) ≥ fl(t·0.17677)``, as
-    ``0.17677·(1+3u) < 1/(4√2) = 0.1767767``: a skipped block holds no
-    such pixel. Active blocks' windows run through the same per-pixel
-    ops as a stack gathered from ``pad``.
+    Block pre-screen: only the b×b blocks ``blocks`` (b the largest power
+    of two ≤ ``_SIDE`` dividing z) are screened, those with
+    ``fl(fl(r)·scale) >= fl(fl(t·_RANGE_SCALE) - 2⁻⁴⁰·absmax)``, ``r =
+    fl(G)`` a range whose data bound the exact range ``R`` of the
+    block's (b+2)² window of ``pad`` as ``R ≤ scale·G + e``, ``e ≤
+    28u·absmax``: by default ``f`` over that window (reflection repeats
+    values inside it; ``e = 0``), or gray ranges (:func:`_blurred_canny`,
+    which fills only those windows of ``pad``). An exact Sobel component
+    sums three differences with weights 1, 2, 1, so the exact magnitude
+    is at most 4√2·R; a reference magnitude ≥ ``low`` gives an exact
+    vector length ≥ ``low - 23uM - √2·40uM > low - 81uM > t``, so ``R >
+    t/(4√2)``. The left side is then ``≥ scale·G·(1-2u) > (t/(4√2) -
+    e)(1-2u)``, the rounded right side ``≤ 0.17677·(1+3u)·t -
+    8191u·absmax``, and ``0.17677·(1+3u) < (1-2u)/(4√2) =
+    0.1767767·(1-2u)``: a skipped block holds no such pixel. Active
+    windows, gathered from ``pad``, take the per-pixel ops as a stack.
 
-    ``t`` is kept positive and normal and ``M`` far from overflow; outside
-    that (``low`` near 0, ``max|f|`` huge, NaN or inf) every pixel is a
-    candidate, which turns the sparse path into the dense reference.
+    ``t`` is kept positive and normal and ``absmax`` far from overflow;
+    outside that (``low`` near 0, ``max|f|`` huge, NaN or inf) every
+    pixel is a candidate, which turns the sparse path into the dense
+    reference.
     """
     z = pad.shape[0] - 2
-    t = low - _SCREEN_SLACK * absmax
-    if not (t > 2.0 ** -500 and absmax < 2.0 ** 1000):
+    th = _threshold(low, absmax)
+    if th is None:
         return np.ones((z, z), dtype=bool)
+    t, cut = th
     sc = scratch if scratch is not None else _Scratch()
     out = sc.get("scr_out", (z, z), dtype=bool)
     out.fill(False)
     b = min(_SIDE, z & -z)           # a power of two that divides z
-    # block ranges: reduce rows first (contiguous passes over the image),
-    # then the small (bands, z+2) results' columns, transposed
-    rows = _bands(pad, b)
-    hi, lo = (np.ascontiguousarray(e.T)
-              for e in (rows.max(axis=1), rows.min(axis=1)))
-    rng = _bands(hi, b).max(axis=1) - _bands(lo, b).min(axis=1)
-    bx, by = np.nonzero(rng >= t * _RANGE_SCALE)
+    by, bx = blocks if blocks is not None else np.nonzero(  # f's ranges
+        np.subtract(*_block_extrema(pad[1:-1, 1:-1], b, 1)) >= cut)
     nb, (s0, s1) = z // b, pad.strides
     win = as_strided(pad, (nb, nb, b + 2, b + 2), (b * s0, b * s1, s0, s1),
                      writeable=False)
@@ -218,7 +245,7 @@ def _screen_candidates(pad: np.ndarray, low: float, absmax: float,
     step = _BLOCK // b ** 2
     for k0 in range(0, len(by), step):
         yy, xx = by[k0:k0 + step], bx[k0:k0 + step]
-        p = win[yy, xx]                                 # (n, b+2, b+2)
+        p = win[yy, xx]
         dx = p[:, :, 2:] - p[:, :, :-2]
         px = dx[:, :-1] + dx[:, 1:]
         gx = px[:, :-1] + px[:, 1:]
@@ -266,7 +293,8 @@ def _join8(ys: np.ndarray, xs: np.ndarray, z: int,
 
 def _sparse_canny(f: np.ndarray, low: float, high: float,
                   scratch: Optional[_Scratch] = None,
-                  absmax: Optional[float] = None) -> np.ndarray:
+                  absmax: Optional[float] = None,
+                  blocks: Optional[tuple] = None) -> np.ndarray:
     """Canny edge mask of a 0-255-scaled image, bit-identical to
     :func:`repro.imaging.canny.canny_edges` on the same input.
 
@@ -278,11 +306,12 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     provably below ``low`` ≤ the candidate's), so treating it as 0 —
     exactly like the reference's zero padding — changes no decision.
     Hysteresis joins the weak pixels by 8-connectivity over their own
-    coordinates (:func:`_join8`). ``absmax`` is ``max|f|`` when the
-    caller has it.
+    coordinates (:func:`_join8`). ``absmax`` is ``max|f|`` (or a bound
+    above it) when the caller has it; ``blocks`` goes on to
+    :func:`_screen_candidates`.
     """
-    z = f.shape[0]
     sc = scratch if scratch is not None else _Scratch()
+    z = f.shape[0]
     if absmax is None:
         absmax = max(float(f.max()), -float(f.min()))
     # Symmetric pad (== ndimage mode="reflect") into a reused buffer.
@@ -293,7 +322,7 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     pad[1:-1, -1] = f[:, -1]
     pad[0, :] = pad[1, :]
     pad[-1, :] = pad[-2, :]
-    cand = np.flatnonzero(_screen_candidates(pad, low, absmax, sc))
+    cand = np.flatnonzero(_screen_candidates(pad, low, absmax, sc, blocks))
     cy, cx = np.divmod(cand, z)
     out = np.zeros((z, z), dtype=bool)
     if not len(cy):
@@ -337,6 +366,95 @@ def _sparse_canny(f: np.ndarray, low: float, high: float,
     has_strong[root[(mag >= high)[weak]]] = True
     out[wy, wx] = has_strong[root]
     return out
+
+
+def _dense_canny(blurred: np.ndarray, low: float, high: float,
+                 scratch: _Scratch) -> np.ndarray:
+    """``canny_edges(blurred, low, high)`` through :func:`_sparse_canny`."""
+    z, f = blurred.shape[0], blurred
+    hi, lo = (f.max(), f.min()) if f.size else (0.0, 0.0)
+    absmax = max(hi, -lo)
+    # canny_edges rescales [0,1] inputs to the 0-255 scale; x -> fl(255·x)
+    # is monotone and odd, so max|f| scales too (into the screen's pad).
+    if f.size and hi <= 1.0 + 1e-9:
+        f = np.multiply(blurred, 255.0,
+                        out=scratch.get("pad", (z + 2, z + 2))[1:-1, 1:-1])
+        absmax *= 255.0
+    return _sparse_canny(f, low, high, scratch, absmax)
+
+
+def _blur_windows(gray: np.ndarray, scale: float, pad: np.ndarray,
+                  by: np.ndarray, bx: np.ndarray) -> None:
+    """Write blocks ``(by, bx)``' (b+2)² windows of ``pad`` =
+    ``fl(scale·_blur3_exact(gray))`` reflect-padded, as stacks made from
+    the gray windows two pixels wider, in the screen's chunks of blocks.
+
+    ``sym`` mirrors gray indices at the border (-2, -1 -> 1, 0), so
+    padded row -1 blurs rows (1, 0, 0) and row 0 rows (0, 0, 1): both
+    are ``_blur3_exact``'s row 0. Every value takes ``_blur3_exact``'s
+    ops in its order (IEEE addition commutes), so they are bit-identical.
+    """
+    z = gray.shape[0]
+    b = min(_SIDE, z & -z)
+    sym, span = np.pad(np.arange(z), 2, mode="symmetric"), np.arange(b + 4)
+    step = _BLOCK // b ** 2
+    for k0 in range(0, len(by), step):
+        y0, x0 = by[k0:k0 + step, None] * b, bx[k0:k0 + step, None] * b
+        g = gray.take(sym[y0 + span][:, :, None] * z
+                      + sym[x0 + span][:, None, :])       # (n, b+4, b+4)
+        pair = g[:, :-2] + g[:, 2:]                  # vertical pass
+        pair *= _K0
+        t = g[:, 1:-1] * _K1
+        t += pair
+        pair = t[:, :, :-2] + t[:, :, 2:]            # horizontal pass
+        pair *= _K0
+        o = t[:, :, 1:-1] * _K1
+        o += pair
+        if scale != 1.0:
+            o *= scale
+        pad[(y0 + span[:-2])[:, :, None], (x0 + span[:-2])[:, None, :]] = o
+
+
+def _blurred_canny(gray: np.ndarray, low: float, high: float,
+                   scratch: _Scratch) -> np.ndarray:
+    """``canny_edges(gaussian_blur(gray, 3), low, high)``, bit for bit,
+    blurring only the blocks the screen reads.
+
+    A blurred value is a convex combination ``C`` of a 3×3 gray window
+    (weights summing to 1 within 3u, ``u = 2⁻⁵³``). With ``A =
+    max|gray|``, the two passes' tap sums round within 3uA and 3.1uA and
+    the weights' sum within 6.1uA, so ``f = fl(scale·blurred)`` is within
+    13.3·scale·uA of ``scale·C`` (blurred within 12.2uA of ``C``). So:
+
+    * a block's (b+2)² window of ``f`` spans at most ``scale·G +
+      28u·scale·A``, ``G`` the gray range over the window two pixels
+      wider, clipped (reflection repeats values inside it);
+    * ``max|f| ≤ scale·A·(1+14u) ≤ fl(fl(scale·A)·(1+2⁻⁴⁰))``, the
+      ``absmax`` used;
+    * ``canny_edges``' rescale test ``max(blurred) <= 1+1e-9`` holds if
+      ``fl(max(gray) + fl(2⁻⁴⁰·A)) <= 1+1e-9`` (a sum ≥ ``max(gray) +
+      8190uA``) and fails if ``fl(m - fl(2⁻⁴⁰·A)) > 1+1e-9``, ``m`` the
+      largest widened-window minimum (a block blurs from values ≥ m).
+
+    Only the active blocks' windows of the screen's ``pad`` are blurred;
+    the screen and the exact taps read no other pixel. If the bounds
+    settle neither side of the rescale, or ``t`` leaves its safe range,
+    the whole image is blurred as before.
+    """
+    gray, z = np.ascontiguousarray(gray), gray.shape[0]
+    hi, lo = _block_extrema(gray, min(_SIDE, z & -z), 2)
+    top, a = float(hi.max()), max(float(hi.max()), -float(lo.min()))
+    slack = _SCREEN_SLACK * a
+    scale = 255.0 if top + slack <= 1.0 + 1e-9 else \
+        1.0 if float(lo.max()) - slack > 1.0 + 1e-9 else None
+    absmax = scale * a * (1.0 + _SCREEN_SLACK) if scale else np.nan
+    th = _threshold(low, absmax)
+    if th is None:
+        return _dense_canny(_blur3_exact(gray, scratch), low, high, scratch)
+    blocks = np.nonzero((hi - lo) * scale >= th[1])
+    pad = scratch.get("pad", (z + 2, z + 2))
+    _blur_windows(gray, scale, pad, *blocks)
+    return _sparse_canny(pad[1:-1, 1:-1], low, high, scratch, absmax, blocks)
 
 
 class BatchExtract:
@@ -417,24 +535,16 @@ class BatchedAdaptivePatcher(BatchExtract, AdaptivePatcher):
             if out and gray.shape != out[0].shape:
                 raise ValueError("all images in a batch must share one shape")
             k = cfg.blur_ksize or KSIZE_FOR_RESOLUTION.get(z, 3)
+            low, high = cfg.canny_low, cfg.canny_high
+            if k == 3 and z >= 2 and cfg.criterion == "canny":
+                out.append(_blurred_canny(gray, low, high, scratch))
+                continue
             if k == 3 and z >= 2:
                 blurred = _blur3_exact(gray, scratch)
             else:
                 blurred = gaussian_blur(gray, k)
             if cfg.criterion == "canny":
-                f = blurred
-                hi, lo = (float(f.max()), float(f.min())) if f.size \
-                    else (0.0, 0.0)
-                absmax = max(hi, -lo)
-                # canny_edges rescales [0,1] inputs to the 0-255 scale;
-                # x -> fl(255·x) is monotone and odd, so max|f| scales too.
-                # (scaled straight into the screen's padded buffer)
-                if f.size and hi <= 1.0 + 1e-9:
-                    f = np.multiply(blurred, 255.0, out=scratch.get(
-                        "pad", (z + 2, z + 2))[1:-1, 1:-1])
-                    absmax *= 255.0
-                out.append(_sparse_canny(f, cfg.canny_low, cfg.canny_high,
-                                         scratch, absmax))
+                out.append(_dense_canny(blurred, low, high, scratch))
             else:
                 out.append(_variance_detail(
                     blurred, window=max(cfg.patch_size, 2)) * 16.0)

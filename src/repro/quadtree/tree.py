@@ -146,21 +146,33 @@ def _integral(detail: np.ndarray, step: int) -> np.ndarray:
     later axis is summed in full before it is sampled. The builder queries
     region sums only at multiples of the smallest node size, so this costs
     O(Z^d/step) beyond the axis-0 pass instead of d dense O(Z^d) scans.
+    A bool map (Canny edges) skips the row loop: its entries are counts
+    of set pixels per cell, summed along each axis, exact in any order.
     """
     z, nd = detail.shape[0], detail.ndim
     n = z // step
     if n == 0:
         return np.zeros((1,) * nd, dtype=np.float64)
-    t = np.empty((n,) + detail.shape[1:], dtype=np.float64)
-    acc = detail[0].astype(np.float64)
-    for y in range(1, z):
-        if y % step == 0:
-            t[y // step - 1] = acc
-        acc += detail[y]
-    t[n - 1] = acc
-    for ax in range(1, nd):
-        sample = (slice(None),) * ax + (slice(step - 1, None, step),)
-        t = np.cumsum(t, axis=ax)[sample]
+    if detail.dtype == bool:
+        flat = np.flatnonzero(detail)
+        cell = np.zeros_like(flat)
+        for ax in range(nd):                      # last axis first
+            flat, c = np.divmod(flat, z)
+            cell += c // step * n ** ax
+        t = np.bincount(cell, minlength=n ** nd).reshape((n,) * nd)
+        for ax in range(nd):
+            t = np.cumsum(t, axis=ax)
+    else:
+        t = np.empty((n,) + detail.shape[1:], dtype=np.float64)
+        acc = detail[0].astype(np.float64)
+        for y in range(1, z):
+            if y % step == 0:
+                t[y // step - 1] = acc
+            acc += detail[y]
+        t[n - 1] = acc
+        for ax in range(1, nd):
+            sample = (slice(None),) * ax + (slice(step - 1, None, step),)
+            t = np.cumsum(t, axis=ax)[sample]
     ii = np.zeros((n + 1,) * nd, dtype=np.float64)
     ii[(slice(1, None),) * nd] = t
     return ii

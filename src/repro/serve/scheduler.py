@@ -12,7 +12,8 @@ to the same four-stage work graph:
 Stage 4 paints each node's token maps back over its leaves through
 :func:`repro.patching.transfer.stitch`, the n-D block transfer that APF's
 patch extraction and label projection also use, so images and volumes
-share one stitch.
+share one stitch. It paints when a front end reads a node's result; the
+tile reduce paints class labels per token instead, in the sink's dtype.
 
 Before this module existed, three separately maintained front-ends —
 ``Predictor.predict_batch``, ``InferenceEngine.step`` and the streaming
@@ -33,8 +34,8 @@ all stage transitions, and the front-ends are thin adapters over it:
   image tile, one per slice of a volume slab) with at most
   ``max_inflight`` tiles resident. A worker thread runs
   :meth:`tile_sequences` (read + APF) for the next tile while the caller
-  drains the current one through :meth:`sequence_nodes` and
-  :meth:`drain`, in plan order.
+  takes the current one through :meth:`sequence_nodes` and
+  :meth:`reduce_tile` (drain, then class maps), in plan order.
 * :class:`~repro.serve.router.FleetRouter` — **N pumps**: each replica's
   engine pumps its own scheduler over its own plan cache.
 
@@ -100,14 +101,14 @@ class SequenceNode:
 
     ``bucket`` is the padded length the scheduler assigned; ``order`` is
     a monotonically increasing admission stamp used as the FIFO tiebreak
-    inside a bucket. ``result`` holds the stitched probability map once
-    the node's micro-batch has run.
+    inside a bucket. Once its micro-batch has run, ``tokens`` holds the
+    node's own copy of its token probabilities (the plan reuses its
+    output buffers), which :attr:`result` stitches on first read.
     """
 
     seq: object
     bucket: int
     order: int
-    result: Optional[np.ndarray] = None
     done: bool = False
     #: Short-circuit plan (``repro.sparse.SparsePlan``) when the
     #: sparsity runtime reduced this node — ``seq`` is then the *reduced*
@@ -116,6 +117,18 @@ class SequenceNode:
     #: ``(table key, token index)`` of the first-seen background digests
     #: whose forward rows seed the sparsity table (sparsity only).
     seed_keys: Optional[list] = None
+    #: ``(sequence, (L, K) + (Pm,)*d probabilities)`` after execution.
+    tokens: Optional[tuple] = None
+    _result: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def result(self) -> Optional[np.ndarray]:
+        """Probability map: (K, Z, Z), or channel-0 (Z, Z, Z) for a volume."""
+        if self._result is None and self.tokens is not None:
+            seq, probs = self.tokens
+            out = stitch(seq, probs)
+            self._result = out[0] if len(seq.AXES) == 3 else out
+        return self._result
 
 
 @dataclass
@@ -311,30 +324,20 @@ class WorkGraphScheduler:
             cm.plan.profile_hook = tr.kernels.hook
         return cm(tokens, coords, valid, segments=segments)
 
-    # -- stage 4: stitch ---------------------------------------------------
-    def _stitch(self, seq, logits_row: np.ndarray) -> np.ndarray:
-        """Token logits -> probability map, painted over each token's
-        leaf by :func:`~repro.patching.transfer.stitch`, the one stitch
-        every front-end shares: (K, Z, Z) for an image, the channel-0
-        (Z, Z, Z) map for a volume."""
-        p = self.predictor
-        d = len(seq.AXES)
-        maps = logits_row.reshape((len(seq), p.model.out_channels)
-                                  + (p.model.patch_size,) * d)
-        if d == 3:
-            return stitch(seq, K.forward("sigmoid", (), maps[:, :1]))[0]
-        return stitch(seq, K.forward("sigmoid", (), maps))
-
     def run(self, micro: MicroBatch) -> MicroBatch:
         """Execute one micro-batch: fit, pack, forward, stitch.
 
         Over-long sequences drop to the bucket; the rest pack unpadded,
         back to back, into rows of the bucket length (a lone sequence:
         one row, the padded shape it always ran at). One plan execution
-        runs the pack, and each node stitches from its own tokens.
+        runs the pack, and each node keeps a fresh array of its token
+        probabilities, which :func:`~repro.patching.transfer.stitch`, the
+        one stitch every front-end shares, paints when read.
         """
         stats = self.predictor.stats
         rt = self.predictor.sparsity
+        out_ch, pm = (self.predictor.model.out_channels,
+                      self.predictor.model.patch_size)
         tr, trk = self._trace()
         t0 = tr.clock() if tr is not None else 0.0
         fitted = [self._fit_to(n.seq, micro.length) for n in micro.nodes]
@@ -359,7 +362,9 @@ class WorkGraphScheduler:
             if node.sparse is not None:
                 rows_j = rt.reconstruct(node, rows_j)
                 seq = node.sparse.full_seq
-            node.result = self._stitch(seq, rows_j)
+            maps = rows_j.reshape((len(seq), out_ch) + (pm,) * len(seq.AXES))
+            node.tokens = (seq, K.forward("sigmoid", (), maps[:, :1] if
+                                          len(seq.AXES) == 3 else maps))
             if rt is not None:
                 rt.seed(node, rows_j)
             node.done = True
@@ -370,19 +375,38 @@ class WorkGraphScheduler:
         return micro
 
     # -- drains ------------------------------------------------------------
-    def drain(self, nodes: Sequence[SequenceNode]) -> List[np.ndarray]:
-        """Run every micro-batch covering ``nodes``; results in node order."""
+    def _run_all(self, nodes: Sequence[SequenceNode]) -> None:
         for micro in self.plan(nodes):
             self.run(micro)
         self.predictor.stats["images"] += len(nodes)
+
+    def drain(self, nodes: Sequence[SequenceNode]) -> List[np.ndarray]:
+        """Run every micro-batch covering ``nodes``; results in node order."""
+        self._run_all(nodes)
         return [n.result for n in nodes]
 
     def execute(self, seqs: Sequence) -> List[np.ndarray]:
         """Sequences -> probability maps (node build + drain in one call)."""
         return self.drain(self.sequence_nodes(seqs))
 
-    def reduce_tile(self, tile: TileNode) -> np.ndarray:
-        """Reduce a drained tile to its sink value (int64 class maps)."""
-        if tile.kind == "volume":
-            return np.stack([class_map(c.result) for c in tile.children])
-        return class_map(tile.children[0].result)
+    def reduce_tile(self, tile: TileNode, dtype=None) -> np.ndarray:
+        """A tile's class map ((d, Z, Z) for a slab) in ``dtype`` (int64 if
+        None or too narrow), first running the children not yet drained.
+
+        Labels are taken per token pixel and painted by :func:`stitch`:
+        exact, as gather rejects leaves below Pm (a stitched pixel is its
+        token's), and an uncovered pixel (probability 0, class 0) stays 0.
+        """
+        todo = [c for c in tile.children if not c.done]
+        if todo:
+            self._run_all(todo)
+        k = tile.children[0].tokens[1].shape[1]
+        if dtype is None or not np.can_cast(
+                np.min_scalar_type(max(k - 1, 1)), dtype):
+            dtype = np.int64
+        maps = []
+        for c in tile.children:
+            seq, probs = c.tokens
+            labels = class_map(np.moveaxis(probs, 1, 0)).astype(dtype)
+            maps.append(stitch(seq, labels[:, None], dtype=dtype)[0])
+        return np.stack(maps) if tile.kind == "volume" else maps[0]

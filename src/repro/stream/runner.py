@@ -12,15 +12,16 @@ preprocessing
 (:meth:`~repro.serve.scheduler.WorkGraphScheduler.tile_sequences`) while
 the calling thread takes tile i through node building, the shared
 :class:`~repro.serve.scheduler.WorkGraphScheduler` drain, the tile reduce
-and the sink, in plan order. NumPy, SciPy and file writes release the
-GIL, so the halves overlap on two cores. Node building, and with it any
-sparsity decision (which reads the table earlier tiles seeded), stays on
-the calling thread, so streamed class maps are **bit-identical** to the
-non-streamed per-tile reference at every ``max_inflight``; 1 runs the same
-loop with no read-ahead. Each tile is read once, so it is never
-content-hashed for the pipeline cache. To stream a slide through a shared
-:class:`~repro.serve.engine.InferenceEngine` instead, submit its tiles
-directly (``engine.submit(tile, lane="bulk")``).
+(class labels painted per token in the sink's ``dtype``, no probability
+map) and the sink, in plan order. NumPy, SciPy and file writes release
+the GIL, so the halves overlap on two cores. Node building, and with it
+any sparsity decision (which reads the table earlier tiles seeded),
+stays on the calling thread, so streamed class maps are
+**bit-identical** to the non-streamed per-tile reference at every
+``max_inflight``; 1 runs the same loop with no read-ahead. Each tile is
+read once, so it is never content-hashed for the pipeline cache. To
+stream a slide through a shared :class:`~repro.serve.engine.InferenceEngine`
+instead, submit its tiles directly (``engine.submit(tile, lane="bulk")``).
 
 Checkpoint/resume is delegated to the sink: tiles already durable are
 skipped (``resume=True``), so a killed run continues where it stopped and
@@ -134,8 +135,7 @@ class StreamingRunner:
         t0 = time.perf_counter()
         sched = self.predictor.scheduler
         node = TileNode(kind=kind, children=sched.sequence_nodes(seqs))
-        sched.drain(node.children)
-        sink.write(tile, sched.reduce_tile(node))
+        sink.write(tile, sched.reduce_tile(node, getattr(sink, "dtype", None)))
         report.caller_busy_s += time.perf_counter() - t0
         if self.tracer is not None:
             self.tracer.instant("tile.retire", "stream", self.tracer.clock(),

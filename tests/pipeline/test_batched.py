@@ -14,9 +14,10 @@ from repro.imaging import gaussian_blur, sobel_gradients, to_grayscale
 from repro.imaging.canny import canny_edges
 from repro.patching import AdaptivePatcher, APFConfig
 from repro.pipeline import BatchedAdaptivePatcher, PatchPipeline
+import repro.pipeline.batched as batched
 from repro.pipeline.batched import (_RANGE_SCALE, _SCREEN_SLACK, _SIDE,
-                                    _blur3_exact, _join8, _screen_candidates,
-                                    _sparse_canny)
+                                    _blur3_exact, _blur_windows, _join8,
+                                    _screen_candidates, _sparse_canny)
 from repro.quadtree import build_quadtree, build_tree_batch
 
 
@@ -206,6 +207,147 @@ class TestBlockScreen:
                                                (1.0, 250.0)]))
         unit = data.draw(st.sampled_from([1.0, 255.0]))
         assert_canny_identity(img / 255.0 if unit == 1.0 else img, low, high)
+
+
+def detail_with_fallbacks(img, monkeypatch, low=100.0, high=200.0):
+    """``detail_map_batch``'s edge mask for one image, checked against
+    ``canny_edges(gaussian_blur(img, 3))``, and how many times the dense
+    blur ran (the rescale fallback)."""
+    calls = []
+
+    def dense(gray, scratch=None):
+        calls.append(gray.shape)
+        return _blur3_exact(gray, scratch)
+
+    monkeypatch.setattr(batched, "_blur3_exact", dense)
+    cfg = APFConfig(blur_ksize=3, canny_low=low, canny_high=high)
+    got = BatchedAdaptivePatcher(cfg).detail_map_batch([img])[0]
+    np.testing.assert_array_equal(
+        got, canny_edges(gaussian_blur(img, 3), low, high))
+    return len(calls)
+
+
+class TestActiveBlockBlur:
+    """The blur runs only on the screened blocks' windows: the edge mask
+    must still equal the dense reference everywhere."""
+
+    @pytest.mark.parametrize("z", [2, 3, 5, 24, 64, 160])  # 160: 2 chunks
+    @pytest.mark.parametrize("scale", [1.0, 255.0])
+    def test_windows_equal_the_padded_dense_blur(self, z, scale):
+        g = np.random.default_rng(z).random((z, z)) * 3.0
+        b = min(_SIDE, z & -z)
+        by, bx = np.divmod(np.arange((z // b) ** 2), z // b)
+        pad = np.full((z + 2, z + 2), np.nan)
+        _blur_windows(g, scale, pad, by, bx)
+        want = np.pad(gaussian_blur(g, 3) * scale, 1, mode="symmetric")
+        np.testing.assert_array_equal(pad.view(np.uint64),
+                                      want.view(np.uint64))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_piecewise_constant_images(self, data):
+        z = data.draw(st.sampled_from([2, 3, 7, 16, 24, 33, 64, 80, 128]))
+        cells = data.draw(st.integers(1, 12))
+        levels = data.draw(st.lists(st.floats(0.0, 255.0), min_size=cells,
+                                    max_size=cells))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid = rng.integers(0, cells, (cells, cells))
+        idx = (np.arange(z) * cells) // z
+        img = np.asarray(levels)[grid[np.ix_(idx, idx)]]
+        low, high = data.draw(st.sampled_from([(100.0, 200.0), (20.0, 30.0),
+                                               (1.0, 250.0)]))
+        unit = data.draw(st.sampled_from([1.0, 255.0]))
+        with pytest.MonkeyPatch.context() as mp:
+            detail_with_fallbacks(img / 255.0 if unit == 1.0 else img, mp,
+                                  low, high)
+
+    @pytest.mark.parametrize("z", [2, 3, 24, 128, 130, 1024])
+    @pytest.mark.parametrize("unit", [1.0, 255.0])
+    def test_sizes(self, z, unit, monkeypatch):
+        # 128² is the tile API's tile; 1024² the streaming tile
+        rng = np.random.default_rng(z)
+        img = np.kron(rng.integers(0, 4, (z // 2 + 1, z // 2 + 1)),
+                      np.ones((2, 2)))[:z, :z] * 60.0
+        img += rng.random((z, z)) * 20.0 + 2.0
+        n = detail_with_fallbacks(img / 255.0 if unit == 1.0 else img,
+                                  monkeypatch)
+        # a [0,1] image, or one with a block whose every value exceeds 1,
+        # settles the rescale from the gray bounds alone
+        assert n == 0
+
+    @pytest.mark.parametrize("value", [1.0, 1.0 + 1e-9, 1.5, 3.0, 3.7, 4.0,
+                                       9.0])
+    def test_isolated_bright_pixels_fall_back_to_the_dense_blur(
+            self, value, monkeypatch):
+        # gray max above 1 (within the bound's slack of 1+1e-9, or past
+        # it) while the blurred max (~0.27·value) may stay under 1+1e-9,
+        # and no block lies wholly above 1: the gray bounds cannot settle
+        # canny_edges' rescale
+        img = np.zeros((64, 64))
+        img[[5, 30, 31, 60], [7, 40, 41, 2]] = value
+        n = detail_with_fallbacks(img, monkeypatch, 20.0, 30.0)
+        assert n == (value > 1.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("at", [_SIDE - 3, _SIDE - 2, _SIDE - 1, _SIDE,
+                                    _SIDE + 1, _SIDE + 2, 2 * _SIDE + 2])
+    @pytest.mark.parametrize("h", [25.0 * (1.0 + k * np.finfo(float).eps)
+                                   for k in (-2, 0, 2)] + [200.0])
+    def test_step_in_a_blocks_gray_halo(self, axis, at, h, monkeypatch):
+        # a gray step at row ``at`` reaches a block's screen window through
+        # the blur from up to two rows outside it; at 200 the step two rows
+        # below a block makes edges on the block's last row (gy ≈ 4·K0·h)
+        img = np.full((64, 64), 40.0)
+        img[at:] += h
+        img[at:, 40:] += 2 * h
+        detail_with_fallbacks(img if axis == 0 else img.T.copy(),
+                              monkeypatch)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_edge_seen_only_through_the_two_pixel_halo(self, axis, below,
+                                                       monkeypatch):
+        # A step along x in the rows from two past a block's edge on: the
+        # block's edge row gets its gradient only from the gray row two
+        # away (through the blur), and with thresholds 20/30 it is an edge
+        # pixel that a one-pixel gray halo would miss.
+        b = _SIDE
+        img = np.full((64, 64), 10.0)
+        if below:
+            img[b + 1:, 32:] = 240.0
+        else:
+            img[:b - 1, 32:] = 240.0
+        img = img if axis == 0 else img.T.copy()
+        detail_with_fallbacks(img, monkeypatch, 20.0, 30.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("at", [1, 2, 3, 61, 62, 63])
+    @pytest.mark.parametrize("unit", [1.0, 255.0])
+    def test_steps_at_the_image_border(self, axis, at, unit, monkeypatch):
+        img = np.full((64, 64), 20.0)
+        img[at:] = 230.0
+        img[:, :at] += 4.0
+        img = img if axis == 0 else img.T.copy()
+        detail_with_fallbacks(img / 255.0 if unit == 1.0 else img,
+                              monkeypatch)
+
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    def test_gray_range_at_the_skip_threshold(self, k, monkeypatch):
+        # Block (1, 1)'s gray window, two pixels wider than its screen
+        # window, spans a ramp whose range sits k ulps around the gray
+        # skip threshold fl(t·_RANGE_SCALE) - 2⁻⁴⁰·absmax; a uniform
+        # 150 corner settles the scale (1) and sets max|gray|.
+        low, b = 100.0, _SIDE
+        img = np.zeros((64, 64))
+        img[40:, :24] = 150.0
+        absmax = 150.0 * (1.0 + _SCREEN_SLACK)
+        t = low - _SCREEN_SLACK * absmax
+        thr = t * _RANGE_SCALE - _SCREEN_SLACK * absmax
+        r = thr * (1.0 + k * np.finfo(np.float64).eps)
+        ys, xs = np.mgrid[0:b + 4, 0:b + 4]
+        img[b - 2:2 * b + 2, b - 2:2 * b + 2] = r * ((ys + xs) / (2 * b + 6))
+        assert img[b - 2:2 * b + 2, b - 2:2 * b + 2].max() == r
+        assert detail_with_fallbacks(img, monkeypatch) == 0
 
 
 class TestWeakJoin:

@@ -306,3 +306,20 @@ class TestPatchGridIntegral:
                                             (8, 8), (4, 16)])
     def test_matches_dense_table_3d(self, z, min_size):
         self._check(self._volumes(z, seed=z + min_size), z, min_size)
+
+    @pytest.mark.parametrize("shape,step", [((64, 64), 1), ((64, 64), 4),
+                                            ((1024, 1024), 4), ((8, 8), 8),
+                                            ((16, 16, 16), 2),
+                                            ((8, 8, 8), 8)])
+    @pytest.mark.parametrize("density", [0.0, 0.003, 0.3, 1.0])
+    def test_bool_maps_count_edges_exactly(self, shape, step, density):
+        # a bool map's table counts set pixels per cell; it must equal the
+        # float row loop's table bit for bit
+        import repro.quadtree.tree as tree
+        rng = np.random.default_rng([len(shape), step, int(density * 1000)])
+        m = rng.random(shape) < density
+        got = tree._integral(m, step)
+        want = tree._integral(m.astype(np.float64), step)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))

@@ -2,11 +2,13 @@
 bucketing, micro-batch formation, graph execution, and tile reduce."""
 
 import numpy as np
+import pytest
 
-from repro.data import SyntheticPAIP, generate_ct_volume
+from repro.data import SyntheticPAIP, generate_ct_volume, generate_wsi
 from repro.models.vit import ViTSegmenter
+from repro.patching import AdaptivePatcher, APFConfig, stitch
 from repro.pipeline import PatchPipeline
-from repro.serve import Predictor, SequenceNode, class_map
+from repro.serve import Predictor, SequenceNode, TileNode, class_map
 
 
 def _model(**kw):
@@ -136,3 +138,123 @@ class TestClassMap:
     def test_multichannel_argmax(self):
         probs = np.random.default_rng(0).random((3, 4, 4))
         np.testing.assert_array_equal(class_map(probs), probs.argmax(axis=0))
+
+
+def _tied_tokens(seq, k, seed):
+    """Token probabilities on a 0.25 grid: exact 0.5 thresholds for K = 1,
+    exact argmax ties for K > 1."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 5, (len(seq), k, seq.patch_size,
+                               seq.patch_size)) / 4.0
+
+
+def _drained(seq, probs):
+    return SequenceNode(seq=seq, bucket=0, order=0, done=True,
+                        tokens=(seq, probs))
+
+
+class TestTokenResolutionReduce:
+    """``reduce_tile`` thresholds per token pixel and paints labels; it
+    must equal the class map of the stitched probability map."""
+
+    @staticmethod
+    def _seqs(seed):
+        img = generate_wsi(64, seed=seed).image
+        p = AdaptivePatcher(APFConfig(patch_size=4, split_value=4.0))
+        seq = p.extract(img)
+        assert (seq.sizes > 4).any()                  # leaves above Pm
+        dropped = p.fit_length(seq, len(seq) // 2,
+                               rng=np.random.default_rng(seed))
+        padded = p.fit_length(seq, len(seq) + 7)      # invalid rows
+        assert not padded.valid.all()
+        return [seq, dropped, padded]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
+    def test_image_tiles(self, k, dtype):
+        sched = _predictor().scheduler
+        for i, seq in enumerate(self._seqs(k)):
+            probs = _tied_tokens(seq, k, i)
+            node = _drained(seq, probs)
+            got = sched.reduce_tile(TileNode("image", [node]), dtype)
+            want = class_map(stitch(seq, probs))
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            # the node's probability map is the same stitch, on demand
+            np.testing.assert_array_equal(node.result, stitch(seq, probs))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_volume_tiles_stack_their_slices(self, k):
+        sched = _predictor().scheduler
+        seqs = self._seqs(2)
+        probs = [_tied_tokens(s, k, 10 + i) for i, s in enumerate(seqs)]
+        tile = TileNode("volume", [_drained(s, p)
+                                   for s, p in zip(seqs, probs)])
+        got = sched.reduce_tile(tile, np.uint8)
+        want = np.stack([class_map(stitch(s, p))
+                         for s, p in zip(seqs, probs)])
+        assert got.dtype == np.uint8 and got.shape == (3, 64, 64)
+        np.testing.assert_array_equal(got, want)
+
+    def test_dtype_too_small_for_the_classes_paints_int64(self):
+        # a sink dtype that cannot hold every class gets int64 labels, so
+        # the sink's own exactness check sees the real values
+        seq = self._seqs(0)[0]
+        node = _drained(seq, _tied_tokens(seq, 3, 0))
+        got = _predictor().scheduler.reduce_tile(TileNode("image", [node]),
+                                                 np.bool_)
+        assert got.dtype == np.int64 and got.max() == 2
+
+    def test_undrained_tile_is_run_first(self):
+        model = _model()
+        img = _images(1)[0]
+        p = _predictor(model)
+        tile = p.scheduler.tile_node(img, "image")
+        got = p.scheduler.reduce_tile(tile)
+        assert tile.done and p.stats["images"] == 1
+        np.testing.assert_array_equal(
+            got, class_map(_predictor(model).predict_image(img)))
+
+    def test_partly_drained_tile_runs_only_the_rest(self):
+        vol = generate_ct_volume(32, 5, seed=1).volume
+        model = _model()
+        p = _predictor(model)
+        tile = p.scheduler.tile_node(vol, "volume")
+        first = tile.children[0]
+        p.scheduler.drain([first])
+        kept = first.tokens
+        ran = []
+        run = p.scheduler.run
+        p.scheduler.run = lambda m: (ran.extend(m.nodes), run(m))[1]
+        got = p.scheduler.reduce_tile(tile)
+        assert all(n is not first for n in ran)
+        assert len(ran) == len(tile.children) - 1
+        assert first.tokens is kept
+        assert p.stats["images"] == len(tile.children)
+        np.testing.assert_array_equal(
+            got, _predictor(model).predict_volume(vol))
+
+
+class TestPlanOutputAliasing:
+    """Plan outputs live in per-plan scratch that the next execution of
+    the same plan overwrites: a node must keep its own token rows."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_results_survive_later_batches_of_the_same_plan(self, compiled):
+        model = _model()
+        imgs = _images(3)
+        # one bucket, one sequence per micro-batch: every batch runs the
+        # same compiled plan before any node is stitched or reduced
+        p = _predictor(model, max_batch=1, bucket=256, compiled=compiled)
+        tiles = [p.scheduler.tile_node(im, "image") for im in imgs]
+        micros = p.scheduler.plan([t.children[0] for t in tiles])
+        assert len({m.signature for m in micros}) == 1 and len(micros) == 3
+        for m in micros:
+            p.scheduler.run(m)
+        assert p.stats["plans"] == (1 if compiled else 0)
+        ref = _predictor(model, max_batch=1, bucket=256, compiled=compiled)
+        for tile, im in zip(tiles, imgs):
+            want = ref.predict_image(im)
+            np.testing.assert_array_equal(tile.children[0].result, want)
+            np.testing.assert_array_equal(p.scheduler.reduce_tile(tile),
+                                          class_map(want))

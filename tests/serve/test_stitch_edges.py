@@ -63,6 +63,22 @@ class TestImageEdgeCases:
         np.testing.assert_array_equal(seq.scatter_to_image(tm),
                                       stitch(seq, tm))
 
+    def test_integer_paint_repeats_labels(self):
+        # labels paint by repetition only: into an integer dtype they equal
+        # the float paint cast, and a leaf below Pm (which gather never
+        # yields) cannot be averaged
+        rng = np.random.default_rng(4)
+        seq = _image_seq([16, 8, 8, 4], [16, 0, 8, 8], [16, 0, 0, 8],
+                         [True, True, False, True], 32, 4, rng)
+        labels = rng.integers(0, 3, size=(4, 1, 4, 4))
+        for dtype in (np.uint8, np.int64):
+            got = stitch(seq, labels.astype(dtype), dtype=dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, stitch(seq, labels))
+        small = _image_seq([2], [0], [0], [True], 8, 4, rng)
+        with pytest.raises(ValueError, match="average"):
+            stitch(small, np.ones((1, 1, 4, 4), np.uint8), dtype=np.uint8)
+
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(5)
         seq = _image_seq([4], [0], [0], [True], 16, 4, rng)

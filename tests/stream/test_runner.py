@@ -119,6 +119,94 @@ class TestPredictorMode:
         with pytest.raises(ValueError):
             sink.write(plan.tiles[0], np.full((TILE, TILE), 300))
 
+    @pytest.mark.parametrize("src,value,fits", [
+        (np.int64, -1, False), (np.int64, 0, True), (np.int64, 255, True),
+        (np.int64, 256, False), (np.int16, -1, False), (np.int16, 256, False),
+        (np.uint16, 255, True), (np.uint16, 256, False)])
+    def test_integer_narrowing_checks_the_range(self, tmp_path, src, value,
+                                                fits):
+        # a narrowing cast is stored only if it round-trips: values
+        # outside the target's range are rejected, values in it exact
+        sink = NpyDirectorySink(tmp_path, dtype=np.uint8)
+        tile = _plan().tiles[0]
+        arr = np.zeros((TILE, TILE), dtype=src)
+        arr[3, 4] = value
+        if not fits:
+            with pytest.raises(ValueError):
+                sink.write(tile, arr)
+            assert not sink.completed(_plan())
+            return
+        sink.write(tile, arr)
+        got = sink.read(tile)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got.astype(src), arr)
+
+    def test_float_narrowing_rejects_fractions(self, tmp_path):
+        sink = NpyDirectorySink(tmp_path, dtype=np.uint8)
+        tile = _plan().tiles[0]
+        with pytest.raises(ValueError):
+            sink.write(tile, np.full((TILE, TILE), 0.5))
+        sink.write(tile, np.full((TILE, TILE), 7.0))
+        assert (sink.read(tile) == 7).all()
+
+
+class TestPinnedSinkBytes:
+    """Streamed sink bytes, pinned to digests recorded before the tile
+    reduce painted class labels at token resolution into the sink's
+    dtype: a binary and a 3-class head over an image scene, and a CT
+    slab scene, into each sink kind."""
+
+    #: sink digest (+ blake2b of the manifest's tile digests for the
+    #: directory sinks), recorded with the stitched-probability reduce
+    DIGESTS = {
+        ("image-k1", "memory"): ["8f4fa9770d5d74ae7fc8a44ae45ada2f"],
+        ("image-k3", "memory"): ["6debafa8aa42ed3474dc6ee7042c7938"],
+        ("volume", "memory"): ["88498ffd0c7464cc051519b6ccf644be"],
+        ("image-k1", "npy"): ["8f4fa9770d5d74ae7fc8a44ae45ada2f",
+                              "2911b629d27d9829d8b0b0efbe2549f0"],
+        ("image-k3", "npy"): ["6debafa8aa42ed3474dc6ee7042c7938",
+                              "e40fb2a56d84deb89c2d7d1c612f79a3"],
+        ("volume", "npy"): ["88498ffd0c7464cc051519b6ccf644be",
+                            "204e1a949adcd0746e5943260676e6dd"],
+        ("image-k1", "npy-uint8"): ["b419ca27372f78b07fafb8a100add114",
+                                    "9d43f4f4d209afbe580aa6d5c811d023"],
+        ("image-k3", "npy-uint8"): ["d5e9cbefc782d5eba220f6d5a54cace0",
+                                    "70db27027cbb264d074b6859d0c577f5"],
+        ("volume", "npy-uint8"): ["734115d06f4546dee47c6fba7903665b",
+                                  "5ebb27fb2b49c3c35bdc3fc345ea5784"],
+    }
+
+    @staticmethod
+    def _run(case, sink):
+        if case == "volume":
+            vol = np.clip(np.random.default_rng(3).random((7, 32, 32)), 0, 1)
+            src, plan = ArraySource(vol, kind="volume"), plan_volume(
+                vol.shape, slab=3)
+            model = _model()
+        else:
+            src, plan = _wsi(), _plan()
+            k = 3 if case == "image-k3" else 1
+            model = ViTSegmenter(patch_size=4, channels=1, dim=16, depth=1,
+                                 heads=2, max_len=256, out_channels=k,
+                                 rng=np.random.default_rng(1)).eval()
+        StreamingRunner(_predictor(model)).run(src, plan, sink)
+        return plan
+
+    @pytest.mark.parametrize("case", ["image-k1", "image-k3", "volume"])
+    @pytest.mark.parametrize("kind", ["memory", "npy", "npy-uint8"])
+    def test_digests_and_manifests(self, case, kind, tmp_path):
+        sink = MemorySink() if kind == "memory" else NpyDirectorySink(
+            tmp_path, dtype=np.uint8 if kind == "npy-uint8" else None)
+        plan = self._run(case, sink)
+        got = [sink.digest(plan)]
+        if kind != "memory":
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            assert manifest["digest"] == got[0]
+            got.append(hashlib.blake2b(json.dumps(
+                manifest["tiles"], sort_keys=True).encode(),
+                digest_size=16).hexdigest())
+        assert got == self.DIGESTS[case, kind]
+
 
 class TestNoContentDigest:
     """The runner never content-hashes a streamed tile."""
