@@ -1,11 +1,11 @@
 """The one least-recently-used cache every layer of the stack shares.
 
-Patch sequences, source tiles, pyramid pixels, tile results, engine
-results and sparsity rows all sit in an :class:`LRU`: a bounded item
-count, recency refreshed on :meth:`~LRU.get` and :meth:`~LRU.put`,
-``ndarray`` values frozen in place on insert (a cached array is shared by
-every later hit, so nobody may write it), and hit/miss/eviction counters
-in one :meth:`~LRU.stats` shape.
+Patch sequences, source tiles, pyramid pixels, tile results and engine
+results all sit in an :class:`LRU`: a bounded item count, recency
+refreshed on :meth:`~LRU.get` and :meth:`~LRU.put`, ``ndarray`` values
+frozen in place on insert (a cached array is shared by every later hit,
+so nobody may write it), and hit/miss/eviction counters in one
+:meth:`~LRU.stats` shape.
 
 The LRU takes no lock: each owner already serializes its own access
 (pipeline ``_cache_lock``, engine ``_cond``, service ``_lock``). Whether a

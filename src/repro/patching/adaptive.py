@@ -227,7 +227,6 @@ class AdaptivePatcher(TreePatcher):
             ys=leaves.ys.copy(), xs=leaves.xs.copy(), sizes=leaves.sizes.copy(),
             valid=np.ones(n, dtype=bool),
             image_size=h, patch_size=pm, n_real=n,
-            details=None if leaves.details is None else leaves.details.copy(),
         )
         if cfg.target_length is not None:
             seq = self.fit_length(seq, cfg.target_length)

@@ -11,7 +11,6 @@ are the row operations it shares with the leaf sets and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,14 +39,9 @@ class PatchSequence(Rows):
         Number of real (non-padded) tokens *before* any random drop.
     n_dropped:
         Tokens dropped to reach length L (0 when padding was applied instead).
-    details:
-        Optional (L,) per-token detail score — the quadtree's Eq. 6 region
-        mass that decided not to split the leaf. Zero marks a provably flat
-        patch (the sparsity fast path's short-circuit candidates); padded
-        slots are zero. ``None`` when the producing path did not track it.
     """
 
-    ROWS = ("patches", "ys", "xs", "sizes", "valid", "details")
+    ROWS = ("patches", "ys", "xs", "sizes", "valid")
     AXES = ("ys", "xs")
 
     patches: np.ndarray
@@ -59,7 +53,6 @@ class PatchSequence(Rows):
     patch_size: int
     n_real: int
     n_dropped: int = 0
-    details: Optional[np.ndarray] = None
 
     @property
     def scene_size(self) -> int:

@@ -37,7 +37,7 @@ class VolumeSequence(Rows):
     patches and ``sizes == 0``.
     """
 
-    ROWS = ("patches", "zs", "ys", "xs", "sizes", "valid", "details")
+    ROWS = ("patches", "zs", "ys", "xs", "sizes", "valid")
     AXES = ("zs", "ys", "xs")
 
     patches: np.ndarray            #: (L, Pm, Pm, Pm)
@@ -50,9 +50,6 @@ class VolumeSequence(Rows):
     valid: np.ndarray = field(default=None)  # type: ignore[assignment]
     n_real: int = -1
     n_dropped: int = 0
-    #: Optional (L,) per-token detail score — the octree's region detail
-    #: mass that decided not to split the cube (zero = provably flat).
-    details: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.valid is None:
@@ -178,9 +175,7 @@ class VolumetricAdaptivePatcher(TreePatcher):
         pm = cfg.patch_size
         seq = VolumeSequence(self._gather(v, leaves, pm), leaves.zs.copy(),
                              leaves.ys.copy(), leaves.xs.copy(),
-                             leaves.sizes.copy(), v.shape[0], pm,
-                             details=None if leaves.details is None
-                             else leaves.details.copy())
+                             leaves.sizes.copy(), v.shape[0], pm)
         if cfg.target_length is not None:
             seq = self.fit_length(seq, cfg.target_length)
         return seq

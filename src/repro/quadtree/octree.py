@@ -13,7 +13,6 @@ so reordering and the leaf statistics are shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def morton3d_decode(code):
 class OctreeLeaves(Leaves):
     """Leaf set of an octree partition of a ``size^3`` volume."""
 
-    ROWS = ("zs", "ys", "xs", "sizes", "depths", "details")
+    ROWS = ("zs", "ys", "xs", "sizes", "depths")
     AXES = ("zs", "ys", "xs")
 
     zs: np.ndarray
@@ -80,9 +79,6 @@ class OctreeLeaves(Leaves):
     depths: np.ndarray
     size: int
     nodes_visited: int = 0
-    #: Per-leaf Eq. 6 region detail mass — the summed-volume value that
-    #: decided *not* to split this cube. Zero means provably flat content.
-    details: Optional[np.ndarray] = None
 
     def morton_order(self) -> np.ndarray:
         return np.argsort(morton3d_encode(self.zs, self.ys, self.xs),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ def max_depth_for(resolution: int, min_patch: int) -> int:
 class Leaves(Rows):
     """A tree partition's leaf set (2-D quadtree or 3-D octree): one row
     per leaf, corners in the ``AXES`` fields, plus ``sizes`` (side length,
-    a power of two), ``depths`` (root = 0) and optional ``details``.
+    a power of two) and ``depths`` (root = 0).
     Subclasses supply ``morton_order`` for their dimension."""
 
     @property
@@ -100,16 +100,9 @@ class QuadtreeLeaves(Leaves):
         Image side length the tree partitions.
     nodes_visited:
         Total nodes examined during the build (leaves + interior).
-    details:
-        Per-leaf detail mass (the Eq. 6 region sum that decided *not* to
-        split the leaf). Zero means the leaf is provably flat under the
-        detail criterion — the signal the token-sparsity fast path keys
-        on. ``None`` when the producer did not retain the sums (e.g.
-        after :func:`balance_2to1`, which splits leaves without access
-        to the detail map).
     """
 
-    ROWS = ("ys", "xs", "sizes", "depths", "details")
+    ROWS = ("ys", "xs", "sizes", "depths")
     AXES = ("ys", "xs")
 
     ys: np.ndarray
@@ -118,7 +111,6 @@ class QuadtreeLeaves(Leaves):
     depths: np.ndarray
     size: int
     nodes_visited: int = 0
-    details: Optional[np.ndarray] = None
 
     def morton_order(self) -> np.ndarray:
         """Indices arranging leaves along the Morton z-curve (paper step 5)."""
@@ -289,7 +281,7 @@ def build_tree_batch(details: Iterable[np.ndarray], split_value: float,
         can_split = (depth < max_depth) and (size // 2 >= min_size) and size > 1
         split = (sums > split_value) if can_split else np.zeros(len(nodes), bool)
         keep = ~split
-        found.append((nodes[keep], sums[keep]))
+        found.append(nodes[keep])
         if not split.any():
             break
         half = size // 2 // step   # in table cells
@@ -299,8 +291,8 @@ def build_tree_batch(details: Iterable[np.ndarray], split_value: float,
             for offs in product((0, half), repeat=nd)])
         size, depth = size // 2, depth + 1
 
-    counts = [len(s) for _, s in found]   # leaves per depth
-    offsets, sums = (np.concatenate(col) for col in zip(*found))
+    counts = [len(f) for f in found]   # leaves per depth
+    offsets = np.concatenate(found)
     bs, *cells = np.unravel_index(offsets, (b,) + (side,) * nd)
     depths = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     sizes = z >> depths
@@ -310,7 +302,7 @@ def build_tree_batch(details: Iterable[np.ndarray], split_value: float,
         # Every node visited became a leaf or split into 2^d children.
         visited = len(idx) + (len(idx) - 1) // (2 ** nd - 1)
         out.append(cls(*(c[idx] * step for c in cells), sizes[idx],
-                       depths[idx], z, visited, sums[idx]))
+                       depths[idx], z, visited))
     return out
 
 

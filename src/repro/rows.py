@@ -1,7 +1,7 @@
 """Row algebra for APF's per-token tables.
 
 A quadtree/octree leaf set and a patch/volume sequence are each a table:
-per-row arrays (corner coordinates, sizes, patches, validity, detail mass)
+per-row arrays (corner coordinates, sizes, patches, validity)
 beside scalars describing the whole table (scene size, patch size,
 counters). Algorithm 1 only ever moves whole rows — reorder along the
 Morton curve, drop to ``L``, zero-pad to ``L``, keep a subset — so the
@@ -21,20 +21,14 @@ __all__ = ["Rows"]
 
 class Rows:
     """Mixin for dataclasses whose class constant ``ROWS`` names the
-    per-row array fields (the first one defines ``len``).
-
-    A row field set to ``None`` is an optional column the producer did not
-    track (e.g. ``details`` after :func:`~repro.quadtree.balance_2to1`):
-    every operation skips it and it stays ``None``.
-    """
+    per-row array fields (the first one defines ``len``)."""
 
     ROWS: ClassVar[Tuple[str, ...]] = ()
     #: Corner coordinate fields, outermost axis first (empty: no geometry).
     AXES: ClassVar[Tuple[str, ...]] = ()
 
     def _columns(self) -> Dict[str, np.ndarray]:
-        cols = {name: getattr(self, name) for name in self.ROWS}
-        return {name: col for name, col in cols.items() if col is not None}
+        return {name: getattr(self, name) for name in self.ROWS}
 
     def __post_init__(self) -> None:
         lengths = {len(col) for col in self._columns().values()}

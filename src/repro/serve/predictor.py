@@ -37,7 +37,6 @@ from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from ..sparse import SparseRuntime, SparsityConfig
 from ..train.volumetric import predict_volume_batched
 from .scheduler import WorkGraphScheduler, class_map
 
@@ -66,15 +65,6 @@ class Predictor:
         ``False`` runs the same bucketing/batching through the eager
         tape — the baseline the compiled path is benchmarked and
         bit-compared against.
-    sparsity:
-        Optional :class:`~repro.sparse.SparsityConfig` enabling the
-        background short-circuit: flat tokens seen before read their
-        logits from a table instead of running, whenever that moves the
-        sequence to a smaller length bucket. Lossy (a table row comes
-        from another position and context); ``mode="dense"`` runs
-        everything dense, bitwise equal to no sparsity. ``None``
-        (default) turns it off.
-        Decisions and cache traffic surface as ``stats["sparsity"]``.
 
     Examples
     --------
@@ -86,7 +76,7 @@ class Predictor:
 
     def __init__(self, model, pipeline, *, max_batch: int = 8,
                  bucket: int = 32, compiled: bool = True, drop_seed: int = 0,
-                 sparsity: Optional[SparsityConfig] = None, tracer=None):
+                 tracer=None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if bucket < 1:
@@ -108,10 +98,6 @@ class Predictor:
                       "compile_seconds": 0.0, "padded_tokens": 0,
                       "real_tokens": 0}
         self.scheduler = WorkGraphScheduler(self)
-        self.sparsity = None
-        if sparsity is not None:
-            self.sparsity = SparseRuntime(self, sparsity)
-            self.stats["sparsity"] = self.sparsity.stats
 
     @property
     def _plans(self) -> dict:

@@ -110,13 +110,6 @@ class SequenceNode:
     bucket: int
     order: int
     done: bool = False
-    #: Short-circuit plan (``repro.sparse.SparsePlan``) when the
-    #: sparsity runtime reduced this node — ``seq`` is then the *reduced*
-    #: sequence and the plan holds the full one plus the row map back.
-    sparse: Optional[object] = None
-    #: ``(table key, token index)`` of the first-seen background digests
-    #: whose forward rows seed the sparsity table (sparsity only).
-    seed_keys: Optional[list] = None
     #: ``(sequence, (L, K) + (Pm,)*d probabilities)`` after execution.
     tokens: Optional[tuple] = None
     _result: Optional[np.ndarray] = field(default=None, repr=False)
@@ -215,22 +208,9 @@ class WorkGraphScheduler:
 
     # -- node construction -------------------------------------------------
     def sequence_nodes(self, seqs: Sequence) -> List[SequenceNode]:
-        """Wrap natural sequences as graph nodes (bucketed, order-stamped).
-
-        With a sparsity runtime attached, each node is offered to it
-        first: a short-circuit swaps in the reduced sequence — so the
-        bucket (and with it the micro-batch signature) reflects what
-        actually runs.
-        """
-        rt = self.predictor.sparsity
-        nodes = []
-        for s in seqs:
-            node = SequenceNode(seq=s, bucket=0, order=next(self._order))
-            if rt is not None:
-                rt.prepare(node)
-            node.bucket = self.bucket_length(len(node.seq))
-            nodes.append(node)
-        return nodes
+        """Wrap natural sequences as graph nodes (bucketed, order-stamped)."""
+        return [SequenceNode(seq=s, bucket=self.bucket_length(len(s)),
+                             order=next(self._order)) for s in seqs]
 
     def tile_sequences(self, region: np.ndarray, kind: str,
                        keys: Optional[Sequence] = None) -> List:
@@ -335,7 +315,6 @@ class WorkGraphScheduler:
         one stitch every front-end shares, paints when read.
         """
         stats = self.predictor.stats
-        rt = self.predictor.sparsity
         out_ch, pm = (self.predictor.model.out_channels,
                       self.predictor.model.patch_size)
         tr, trk = self._trace()
@@ -358,15 +337,10 @@ class WorkGraphScheduler:
             tr.complete("execute", trk, t1, t2, tid="engine",
                         args={"signature": [len(micro.nodes), micro.length]})
         for node, seq, (start, n) in zip(micro.nodes, fitted, segments):
-            rows_j = logits[start:start + n]
-            if node.sparse is not None:
-                rows_j = rt.reconstruct(node, rows_j)
-                seq = node.sparse.full_seq
-            maps = rows_j.reshape((len(seq), out_ch) + (pm,) * len(seq.AXES))
+            maps = logits[start:start + n].reshape(
+                (len(seq), out_ch) + (pm,) * len(seq.AXES))
             node.tokens = (seq, K.forward("sigmoid", (), maps[:, :1] if
                                           len(seq.AXES) == 3 else maps))
-            if rt is not None:
-                rt.seed(node, rows_j)
             node.done = True
         if tr is not None:
             tr.complete("stitch", trk, t2, tr.clock(), tid="engine",

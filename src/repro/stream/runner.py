@@ -14,14 +14,13 @@ the calling thread takes tile i through node building, the shared
 :class:`~repro.serve.scheduler.WorkGraphScheduler` drain, the tile reduce
 (class labels painted per token in the sink's ``dtype``, no probability
 map) and the sink, in plan order. NumPy, SciPy and file writes release
-the GIL, so the halves overlap on two cores. Node building, and with it
-any sparsity decision (which reads the table earlier tiles seeded),
-stays on the calling thread, so streamed class maps are
-**bit-identical** to the non-streamed per-tile reference at every
-``max_inflight``; 1 runs the same loop with no read-ahead. Each tile is
-read once, so it is never content-hashed for the pipeline cache. To
-stream a slide through a shared :class:`~repro.serve.engine.InferenceEngine`
-instead, submit its tiles directly (``engine.submit(tile, lane="bulk")``).
+the GIL, so the halves overlap on two cores. Node building stays on the
+calling thread, and streamed class maps are **bit-identical** to the
+non-streamed per-tile reference at every ``max_inflight``; 1 runs the
+same loop with no read-ahead. Each tile is read once, so it is never
+content-hashed for the pipeline cache. To stream a slide through a
+shared :class:`~repro.serve.engine.InferenceEngine` instead, submit its
+tiles directly (``engine.submit(tile, lane="bulk")``).
 
 Checkpoint/resume is delegated to the sink: tiles already durable are
 skipped (``resume=True``), so a killed run continues where it stopped and
@@ -64,10 +63,6 @@ class StreamReport:
     working_set_bytes: int       #: planner's per-tile estimate
     scene_bytes: int             #: full-scene float64 cost (avoided)
     peak_traced_bytes: Optional[int] = None   #: measured (track_memory=True)
-    #: Sparsity fast-path counters accrued by *this run* (plan counts,
-    #: tokens skipped/merged, cache traffic) — ``None`` when the serving
-    #: predictor has no sparsity runtime attached.
-    sparsity: Optional[dict] = None
     #: Busy seconds per lane: the read-ahead worker's tile reads + APF
     #: preprocessing, and the calling thread's node build, drain, reduce
     #: and sink write (waits excluded); the slower lane sets the tile rate.
@@ -111,16 +106,6 @@ class StreamingRunner:
             tracer = predictor.tracer
         self.tracer = tracer if (tracer is not None and tracer.enabled) \
             else None
-
-    # -- sparsity accounting ----------------------------------------------
-    def _sparsity_counters(self) -> Optional[dict]:
-        """Flat numeric snapshot of the predictor's sparsity stats."""
-        rt = self.predictor.sparsity
-        if rt is None:
-            return None
-        flat = {k: v for k, v in rt.stats.items() if isinstance(v, int)}
-        flat.update({f"plans_{k}": v for k, v in rt.stats["plans"].items()})
-        return flat
 
     def _retire_oldest(self, inflight: deque, sink, kind: str,
                        report: StreamReport) -> None:
@@ -173,7 +158,6 @@ class StreamingRunner:
             bytes_read=0, working_set_bytes=plan.working_set_bytes(),
             scene_bytes=plan.scene_bytes)
         inflight: deque = deque()
-        sparse_before = self._sparsity_counters()
         tracer = TracedMemory() if self.track_memory else None
         # the worker that reads and preprocesses ahead
         pool = ThreadPoolExecutor(1, thread_name_prefix="stream-read")
@@ -208,11 +192,6 @@ class StreamingRunner:
                 tracer.__exit__(None, None, None)
                 report.peak_traced_bytes = tracer.peak_bytes
         report.seconds = time.perf_counter() - t0
-        sparse_after = self._sparsity_counters()
-        if sparse_after is not None:
-            before = sparse_before or {}
-            report.sparsity = {k: v - before.get(k, 0)
-                               for k, v in sparse_after.items()}
         if hasattr(sink, "finalize"):
             sink.finalize(plan, report.to_dict())
         return report

@@ -219,6 +219,9 @@ class TestKeying:
         a, b = images(64, 2)
         assert content_key(a) != content_key(b)
         assert content_key(a) == content_key(a.copy())
+        a = a.copy()
+        a[0, 0] += 1e-12                    # one low-order bit flips
+        assert content_key(a) != content_key(images(64, 2)[0])
 
 
 class TestWorkerDeterminism:

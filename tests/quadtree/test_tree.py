@@ -210,7 +210,7 @@ def _dense_table(detail):
 def _dense_build(detail, v, max_depth, min_size):
     """Reference Eq. 6 build, one node at a time over the dense table.
 
-    Returns the leaves as ``(corner, size, depth, mass)`` in level-major
+    Returns the leaves as ``(corner, size, depth)`` in level-major
     order (children in ``product((0, half), repeat=d)`` blocks) and the
     number of nodes visited."""
     ii = _dense_table(detail)
@@ -231,7 +231,7 @@ def _dense_build(detail, v, max_depth, min_size):
                     and m > v):
                 nxt.append(c)
             else:
-                leaves.append((c, size, depth, m))
+                leaves.append((c, size, depth))
         level = [tuple(a + o for a, o in zip(c, off))
                  for off in product((0, size // 2), repeat=nd) for c in nxt]
         depth += 1
@@ -285,15 +285,12 @@ class TestPatchGridIntegral:
             batch = build_tree_batch([d, flipped], v, depth, min_size)
             for m, g, b in zip((d, flipped), got, batch):
                 leaves, visited = _dense_build(m, v, depth, min_size)
-                corners, sizes, depths, sums = zip(*leaves)
+                corners, sizes, depths = zip(*leaves)
                 for t in (g, b):
                     np.testing.assert_array_equal(
                         np.stack([getattr(t, a) for a in t.AXES], 1), corners)
                     np.testing.assert_array_equal(t.sizes, sizes)
                     np.testing.assert_array_equal(t.depths, depths)
-                    np.testing.assert_array_equal(
-                        t.details.view(np.uint64),
-                        np.array(sums).view(np.uint64))
                     assert t.nodes_visited == visited
 
     @pytest.mark.parametrize("z,min_size", [(32, 1), (32, 2), (64, 4),

@@ -375,37 +375,6 @@ class TestReadAhead:
     """The runner reads and preprocesses the next tile on a worker
     thread; outputs, counters, errors and resume must not notice."""
 
-    def test_sparse_decisions_independent_of_read_ahead(self):
-        """Every tile repeats the first, so tile i+1's short-circuit hits
-        the rows tile i's forward seeds — only if its node is built after
-        that forward. A model slow enough that the drain outlasts the next
-        tile's preprocessing makes building it on the worker show here."""
-        from repro.sparse import SparsityConfig
-
-        one = _wsi(tile=128).read_region((0, 0), (128, 128))
-        src = ArraySource(np.tile(one, (4, 4, 1)))
-        plan = plan_scene(src.shape, tile=128, max_len=256)
-        model = ViTSegmenter(patch_size=4, channels=1, dim=64, depth=6,
-                             heads=2, max_len=256,
-                             rng=np.random.default_rng(1)).eval()
-        sinks, counters = [], []
-        for inflight in (1, 2):
-            pipe = PatchPipeline(patch_size=4, split_value=16.0, channels=1,
-                                 cache_items=2)
-            pred = Predictor(model, pipe, max_batch=2, bucket=16,
-                             sparsity=SparsityConfig(mode="auto"))
-            sink = MemorySink()
-            report = StreamingRunner(pred, max_inflight=inflight).run(
-                src, plan, sink)
-            sinks.append(sink)
-            counters.append(report.sparsity)
-        assert counters[0] == counters[1]
-        assert counters[0]["plans_shortcircuit"] > 0
-        assert counters[0]["table_hits"] > 0
-        for tile in plan.tiles:
-            assert sinks[0].read(tile).tobytes() == \
-                sinks[1].read(tile).tobytes()
-
     @pytest.mark.parametrize("inflight", [1, 2])
     def test_read_error_surfaces_after_earlier_tiles(self, tmp_path,
                                                      inflight):

@@ -30,7 +30,6 @@ from repro.patching import (AdaptivePatcher, APFConfig, PatchSequence,
                             VolumetricAdaptivePatcher)
 from repro.patching.adaptive import _variance_detail
 from repro.quadtree import build_octree, build_quadtree, build_tree_batch
-from repro.sparse import take_tokens
 
 
 def digest(*arrays) -> str:
@@ -174,29 +173,30 @@ def leaves_sha256(trees) -> str:
     return h.hexdigest()
 
 
-#: leaves_sha256 of each :func:`_tree_golden_cases` build, recorded with
-#: the separate quadtree and octree builders that preceded the shared
-#: 2^d-tree frontier. Pins ``details`` bytes and ``nodes_visited`` too:
-#: ``details`` drives the sparsity short-circuit.
+#: leaves_sha256 of each :func:`_tree_golden_cases` build, ``nodes_visited``
+#: included. Recorded by the builder that still kept a per-leaf detail-sum
+#: column, hashing every other field, so dropping that column moved no
+#: leaf byte; that builder was itself pinned by a golden recorded with the
+#: separate quadtree and octree builders.
 TREE_BUILD_GOLDEN = {
-    "2d.canny.ms1": "5f72b07b9f50989c079df6fe2265455c16d44db16d48f3f34a9b00de3228691e",
-    "2d.canny.ms2": "badb9cbf20e1f49912fca00f47b2505b0f05fc60e2347135a607e4a8590e3e8e",
-    "2d.canny.ms4": "f45e064acef682c389188e5c078b9665a93fe3f1ad3c4b2c3c115d6e6de5671c",
-    "2d.canny.ms8": "905aa598c701db7b559aff9ecb9705711b8638ce1130d1e9e5af456807db730d",
-    "2d.variance.ms1": "93b4e8054064d22d5e43e330f3249a1d5974fd5ec0fb2e4bbaa1ebd69c6d8c13",
-    "2d.variance.ms2": "3f27dd29d7459550ad5bdf09eeec9f018eca00a9840dbee5853bc81fe058518f",
-    "2d.variance.ms4": "8cffa294d306a5182e2855de8018efacbfe8959dedf496218527daf5fec9e61b",
-    "2d.variance.ms8": "e2499165e834134bf75389f5faffc88c624fc11ff47ab13569613b68c7011951",
-    "2d.float32.ms1": "478404e167fedfc1dd375dbab78071bc9ee7770e36593e7cc4246bbb4b4f132f",
-    "2d.float32.ms2": "083f25234ddcb7be630f21f6a29ca7918a68ff1e048a67a65f75f3e64e66706d",
-    "2d.float32.ms4": "167c5a3fcc6c0cf28a64e7110766d0ff444421fec6bccc70ad736144816739e9",
-    "2d.float32.ms8": "11d2b9b3d6267147d1906c67ec1d0defd9bba3b66973e1f96b648b12a4a2e991",
-    "3d.mask.ms1": "2138aea58c37bc7aa0936920693bef244ab3e490cc2cf3aedbbf505a3672c36c",
-    "3d.mask.ms2": "20506fe006d84802899a027d73dcb3a23785bd442aff553c098c693267988a27",
-    "3d.mask.ms4": "a65dec3c0e28997ecc972854d6025714b9c4545ee4d55f47aaa0759dfe0151eb",
-    "3d.float64.ms1": "51418119942b81e8bf04b93e4624afab6fb5251929fa3ff90339830a56c5bf76",
-    "3d.float64.ms2": "c34a83a7ed21b6cf1aebf483c6e718fe2e2d668cb8771b6a5014603de6936357",
-    "3d.float64.ms4": "ef94daead7356b9f99fcd6a0e06ff40530c1404fe0cb83db4eff685d1dc1976f",
+    "2d.canny.ms1": "9d2010fad67715aef8a6832445026eb18b5af27f779e10a6e10d584d22874cbe",
+    "2d.canny.ms2": "a476b88aba5f7839df0d089a1ab663b919eb5cdd3cd39c7344967bcd392d51fd",
+    "2d.canny.ms4": "e4d589e380636cda5b1bae73cb715765360176471daf7a3f6e9edf3d46beb21c",
+    "2d.canny.ms8": "b49de0c23be9fd7170b3e9c6a9b5a966a720903fbbc71d77010e35ecaf36ff42",
+    "2d.variance.ms1": "c7b1f55b955bbb88e637a039a8e52157392d2e8b83a4a735a42c555ac6f0d678",
+    "2d.variance.ms2": "bb5ead7373db2a854a567207986a2e23b145569915dbc6a50df064438e158f99",
+    "2d.variance.ms4": "c846e78218693945b9357cde565d09213b65b98ba75331ab8c7c38b6933bf322",
+    "2d.variance.ms8": "b49de0c23be9fd7170b3e9c6a9b5a966a720903fbbc71d77010e35ecaf36ff42",
+    "2d.float32.ms1": "cc074f6a0b69bad809667000ca0a7103c56b6be84e140c1a9d260af98d6ae2c4",
+    "2d.float32.ms2": "f581ee7aa189e5d05591fcf83e110940dfc18682bc8bbe6bc7b3181f26b983b2",
+    "2d.float32.ms4": "e1b176fb107678b5da161ad6deb1a9c6709cde292b8dc33e53880762b0975ea2",
+    "2d.float32.ms8": "79a9b8238c8501f0632cf51b342ef59785412b00f4815999bf1c94a334305f73",
+    "3d.mask.ms1": "865dafb21409e12741b7ad27d2eb60f78a1e44454a7a132f2b683c857801ffca",
+    "3d.mask.ms2": "75a7ae118e3fd1ac12627db213a9c1fe2973f2b252fdeb925ea2a201a03da6f6",
+    "3d.mask.ms4": "04859957f9eeb7eef2e13de0b03237995f9321955a8b721fe4dafe7d92c65413",
+    "3d.float64.ms1": "0515e6b3f79cfcdf8274e05810f634880c749090020fa1ff0eaf310514fcf761",
+    "3d.float64.ms2": "58a6aa88a63732fbc1640f82fb3ea8a3b75a9863bc48bd5aec23760199e35531",
+    "3d.float64.ms4": "03e490de63990e8576a5c63e73b66c03837f6c6268cea79002d49f89a61190e8",
 }
 
 
@@ -270,14 +270,11 @@ def _row_algebra_outputs():
     out["2d.drop_coarsest"] = AdaptivePatcher(dataclasses.replace(
         cfg, drop_strategy="coarsest-first")).fit_length(
             nat, n // 2, rng=np.random.default_rng(2))
-    out["2d.pad"] = pad = p.fit_length(nat, n + 9)
+    out["2d.pad"] = p.fit_length(nat, n + 9)
     out["2d.target_length"] = AdaptivePatcher(dataclasses.replace(
         cfg, target_length=n // 3, seed=4)).extract(img)
-    out["2d.pad_no_details"] = p.fit_length(AdaptivePatcher(
+    out["2d.pad_balanced"] = p.fit_length(AdaptivePatcher(
         dataclasses.replace(cfg, balance=True)).extract(img), 3 * n)
-    out["2d.take_tokens"] = take_tokens(pad, np.array([n + 8, 0, 7, 3, 3]))
-    out["2d.take_tokens_dropped"] = take_tokens(out["2d.drop_random"],
-                                                np.array([4, 1]))
 
     vol = generate_ct_volume(32, 32, seed=0).volume
     vcfg = VolumeAPFConfig(patch_size=4, split_value=8.0)
@@ -290,10 +287,9 @@ def _row_algebra_outputs():
     out["3d.drop_coarsest"] = VolumetricAdaptivePatcher(dataclasses.replace(
         vcfg, drop_strategy="coarsest-first")).fit_length(
             vnat, m // 2, rng=np.random.default_rng(6))
-    out["3d.pad"] = vpad = vp.fit_length(vnat, m + 11)
+    out["3d.pad"] = vp.fit_length(vnat, m + 11)
     out["3d.target_length"] = VolumetricAdaptivePatcher(dataclasses.replace(
         vcfg, target_length=m // 3, seed=7)).extract(vol)
-    out["3d.take_tokens"] = take_tokens(vpad, np.array([m + 10, 0, 9, 2, 2]))
     from repro.pipeline import BatchedVolumetricPatcher
     out["3d.batched_target_length"] = BatchedVolumetricPatcher(
         dataclasses.replace(vcfg, target_length=m // 2, seed=8)
@@ -304,24 +300,22 @@ def _row_algebra_outputs():
 #: fields_digest of every :func:`_row_algebra_outputs` entry. Pins the
 #: row copies (reorder, drop, pad, take) field by field, dtypes included,
 #: so sharing their implementation across leaf sets and sequences cannot
-#: move a byte or a draw of the drop RNG.
+#: move a byte or a draw of the drop RNG. Recorded like
+#: :data:`TREE_BUILD_GOLDEN`, with the detail-sum column skipped.
 ROW_ALGEBRA_GOLDEN = {
-    "2d.morton": "27f9528f89e5b68ede4821b88ce9ebb0",
-    "2d.hilbert": "9507338f70bf763039f2f772149901c8",
-    "2d.drop_random": "77cf8f9a72ef63ef07a35aa16fd39852",
-    "2d.drop_coarsest": "16687f2e9e669cc5bd2e0685582756a0",
-    "2d.pad": "74f983c2fb42a393e5b40348895a549b",
-    "2d.target_length": "ba4f3494934c6b47996ca0fd50404644",
-    "2d.pad_no_details": "63f12446486428ddc2b4e0031e63310e",
-    "2d.take_tokens": "031b182a3f51f814cd1492512f1a47c1",
-    "2d.take_tokens_dropped": "c2ef91def0ca0b12b48295b07f8ac4e1",
-    "3d.morton": "4a2fd4633b19cd8a52705e5ea097b418",
-    "3d.drop_random": "e4a5037478821432aab489dc4fe87b72",
-    "3d.drop_coarsest": "a235cdb5a39bc5da3c82af4205076be4",
-    "3d.pad": "b52bc2a3d12e4590e74fa0d73a8adc06",
-    "3d.target_length": "4871c5cd2848418ac1c50a0ee35ab98f",
-    "3d.take_tokens": "90d6b5d456fb42a66aa11c163da3379d",
-    "3d.batched_target_length": "fde4956daebfd14fcb060bd17fb2dd31",
+    "2d.morton": "49af4a82a1bd0fcce11a2937412e9d49",
+    "2d.hilbert": "02d303b93326b345ffbcaadcea0a6a17",
+    "2d.drop_random": "7e8b169aad5620080c2cc9a78c55a071",
+    "2d.drop_coarsest": "5c34f196eb364b02c1a3f6af3d1f3dcc",
+    "2d.pad": "358824b9cba0291becc6eaef18cdaa91",
+    "2d.target_length": "1559295b53478724a1c96b4340e36afe",
+    "2d.pad_balanced": "0fa8365caf56feeb9ea23b9325cd856f",
+    "3d.morton": "23d32d04258ede59a7fd802773e940b9",
+    "3d.drop_random": "19cfdcc76dc9927f3512e259c1e4c4af",
+    "3d.drop_coarsest": "ee93a874d16b7e07946c13f35d9f504b",
+    "3d.pad": "ec177e68996f58e18a29f7c1d0b9776d",
+    "3d.target_length": "8ff24c33f09a4b9bff7978aec608e5d8",
+    "3d.batched_target_length": "29a5cffc3bfa13ee5b5b0a69d5c52004",
 }
 
 
@@ -347,7 +341,7 @@ class TestRowAlgebraGolden:
             cls(**dict(rows, xs=np.zeros(2, np.int64)))
         with pytest.raises(ValueError,
                            match="inconsistent sequence field lengths"):
-            cls(**rows, details=np.zeros(4))
+            cls(**dict(rows, sizes=np.full(4, 4)))
 
 
 def _sha256(*arrays) -> str:
