@@ -137,7 +137,7 @@ def test_fleet_load_and_regression_gate():
 
     # capacity-planning view of the same numbers (repro.perf.serving)
     pred = _predictor_factory(model)(0)
-    lengths = [pred.bucket_length(len(pred._naturals([im], [i])[0]))
+    lengths = [pred.bucket_length(len(pred.pipeline.process([im], [i])[0]))
                for i, im in enumerate(imgs)]
     typical_len = int(np.median(lengths))
     offered_rate = N_CLIENTS * RATE_PER_CLIENT

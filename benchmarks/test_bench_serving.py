@@ -127,8 +127,8 @@ def test_serving_load_and_regression_gate():
     assert_quiescent(engine)
 
     ordered = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
-    lengths = [pred.bucket_length(len(pred._naturals([imgs[a.item]],
-                                                     [a.item])[0]))
+    lengths = [pred.bucket_length(len(pred.pipeline.process(
+                   [imgs[a.item]], [a.item])[0]))
                for a in ordered]
     serial = serial_baseline(trace, lengths, sm)
     speedup = report["throughput"] / serial["throughput"]

@@ -91,8 +91,8 @@ def main():
                            for c in range(8)])
     report = run_load(sim, trace, imgs, clock)
     ordered = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
-    lengths = [pred.bucket_length(len(pred._naturals([imgs[a.item]],
-                                                     [a.item])[0]))
+    lengths = [pred.bucket_length(len(pred.pipeline.process(
+                   [imgs[a.item]], [a.item])[0]))
                for a in ordered]
     serial = serial_baseline(trace, lengths, ServiceModel())
     print(f"simulated load (8 clients): engine {report['throughput']:.1f} "

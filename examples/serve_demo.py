@@ -1,14 +1,13 @@
-"""Serving demo: trace -> compile -> work-graph scheduled Predictor.
+"""Serving demo: trace -> compile -> micro-batched Predictor.
 
 Shows the compiled inference runtime end to end:
 1. compile a ViTSegmenter forward once (trace -> plan with fused kernels
    and liveness-planned buffers) and verify it is bit-identical to the
    eager ``no_grad`` forward,
 2. serve a stream of variable-length APF sequences through the
-   ``Predictor`` — the synchronous-drain adapter over the shared
-   ``WorkGraphScheduler`` (length bucketing, micro-batch formation,
-   per-signature plan cache, vectorized stitch), the same scheduler the
-   async engine, the fleet router and the streaming runner pump,
+   ``Predictor`` — the one inference core (length bucketing, micro-batch
+   formation, per-signature plan cache, vectorized stitch) that the
+   async engine, the fleet router and the streaming runner pump too,
 3. compare serving throughput against the pre-runtime per-image eager
    path, and run the BTCV-style slice-volume protocol.
 
@@ -53,7 +52,7 @@ def main():
     print(f"bit-identical to eager forward: {np.array_equal(eager, compiled)}")
 
     # -- 2. micro-batched serving (a synchronous drain of the work graph:
-    #       the scheduler buckets, batches, executes, stitches) ----------
+    #       the predictor buckets, batches, executes, stitches) ----------
     server = Predictor(model, pipe, max_batch=8, bucket=64)
     server.predict_batch(imgs, keys=list(range(N_IMAGES)))   # warm plans
     t0 = time.perf_counter()

@@ -1,15 +1,15 @@
 """``repro.serve`` — the inference serving stack.
 
-One scheduler, several adapters:
+One inference core, several front ends:
 
-* :class:`WorkGraphScheduler` (:mod:`.scheduler`) — the single truth for
+* :class:`Predictor` (:mod:`.predictor`) — the single truth for
   inference orchestration: tiles → sequences → micro-batches → stitch.
-  Length bucketing, micro-batch formation and compiled per-signature
-  plans (:mod:`repro.runtime`) live here and nowhere else; stitching
-  calls :func:`repro.patching.stitch`, the one leaf-to-pixel transfer.
-* :class:`Predictor` — the synchronous-drain adapter: cached APF
-  preprocessing plus a blocking drain of the work graph.
-* :class:`InferenceEngine` — the pump adapter over a shared Predictor:
+  Cached APF preprocessing, length bucketing, micro-batch formation,
+  compiled per-signature plans (:mod:`repro.runtime`) and the drain live
+  here and nowhere else; stitching calls :func:`repro.patching.stitch`,
+  the one leaf-to-pixel transfer. The graph's nodes are in
+  :mod:`.scheduler`. ``predict_batch`` is the synchronous drain.
+* :class:`InferenceEngine` — the pump over a shared Predictor:
   ``submit(image) -> Future``, continuous batching with a
   latency-deadline flush, weighted-fair priority lanes, digest-keyed
   result caching, admission control (:class:`EngineOverloaded`), and a
@@ -22,7 +22,7 @@ One scheduler, several adapters:
   fleet topology (per-replica service models, routing delay, virtual-time
   replica-kill fault injection).
 * :class:`~repro.stream.runner.StreamingRunner` (in :mod:`repro.stream`)
-  — the bounded macro-tile feed over the same scheduler.
+  — the bounded macro-tile feed over the same Predictor.
 """
 
 from .engine import BatchReport, EngineConfig, InferenceEngine
@@ -35,11 +35,10 @@ from .predictor import Predictor
 from .queueing import EngineOverloaded, FairQueue, Request
 from .router import (REPLICA_DOWN, REPLICA_DRAINING, REPLICA_UP, FleetRouter,
                      Replica, rendezvous_order)
-from .scheduler import (MicroBatch, SequenceNode, TileNode,
-                        WorkGraphScheduler, class_map)
+from .scheduler import MicroBatch, SequenceNode, TileNode, class_map
 
 __all__ = [
-    "WorkGraphScheduler", "SequenceNode", "MicroBatch", "TileNode",
+    "SequenceNode", "MicroBatch", "TileNode",
     "class_map",
     "Predictor",
     "InferenceEngine", "EngineConfig", "BatchReport",

@@ -12,27 +12,28 @@ futures.
 Bit-identity contract
 ---------------------
 Batches always contain a single length bucket and dispatch FIFO within a
-lane; every flush executes through the shared
-:class:`~repro.serve.scheduler.WorkGraphScheduler`, whose micro-batch
-formation (chunks of exactly ``predictor.max_batch``) is the same single
-implementation ``Predictor.predict_batch`` drains. Submitting a request
-set and draining the queue therefore yields **bit-identical** arrays to
-calling ``predict_batch`` on the same set (the property suite pins this
-across seeds and shapes), and both front-ends run the same packs — one
-shared plan cache, never a split one. Under streaming arrivals the chunk
-*composition* depends on timing. A sequence's bits then depend only on
-whether its BLAS rounds a row differently at another offset in the same
-(M = bucket length) matmul; OpenBLAS does not, so on it results are
-bitwise equal across compositions, and the tested bound is 1e-6 in
-probability with equal class maps. Packing keeps M at the bucket length
-on purpose: one matmul over the whole pack would cross OpenBLAS's
-small-matrix path, which rounds a narrow output (the 256→16 head of the
-``tile_api`` model) differently at M = 64 than at M ≥ 96: up to 9.5e-7
-in a logit over 512 tiles in packs of 8, against exactly 0 as packed.
+lane; every flush executes through
+:meth:`~repro.serve.predictor.Predictor.predict_sequences`, whose
+micro-batch formation (chunks of exactly ``predictor.max_batch``) is the
+same single implementation ``Predictor.predict_batch`` drains.
+Submitting a request set and draining the queue therefore yields
+**bit-identical** arrays to calling ``predict_batch`` on the same set
+(the property suite pins this across seeds and shapes), and both
+front-ends run the same packs — one shared plan cache, never a split
+one. Under streaming arrivals the chunk *composition* depends on timing.
+A sequence's bits then depend only on whether its BLAS rounds a row
+differently at another offset in the same (M = bucket length) matmul;
+OpenBLAS does not, so on it results are bitwise equal across
+compositions, and the tested bound is 1e-6 in probability with equal
+class maps. Packing keeps M at the bucket length on purpose: one matmul
+over the whole pack would cross OpenBLAS's small-matrix path, which
+rounds a narrow output (the 256→16 head of the ``tile_api`` model)
+differently at M = 64 than at M ≥ 96: up to 9.5e-7 in a logit over 512
+tiles in packs of 8, against exactly 0 as packed.
 ``stats()["predictor"]["padded_tokens"]`` counts the tokens the model
-executed, filler included. :meth:`InferenceEngine.warmup` primes packs of
-1 and ``max_batch`` rows per bucket; a flush that packs into fewer rows
-tops up with filler rows to the primed shape instead of compiling.
+executed, filler included. :meth:`InferenceEngine.warmup` primes packs
+of 1 and ``max_batch`` rows per bucket; a flush that packs into fewer
+rows tops up with filler rows to the primed shape instead of compiling.
 
 Beyond batching, the engine layers on what a front-end needs:
 
@@ -183,11 +184,10 @@ class InferenceEngine:
             cfg.max_batch = predictor.max_batch
         if cfg.max_batch < 1 or cfg.flush_deadline < 0:
             raise ValueError("max_batch >= 1 and flush_deadline >= 0 required")
+        # The engine is a *pump* over the predictor: admission/lanes/caching
+        # decide when a flush happens, the predictor decides how it
+        # buckets, batches, and stitches.
         self.predictor = predictor
-        # The engine is a *pump* over the predictor's work-graph scheduler:
-        # admission/lanes/caching decide when a flush happens, the scheduler
-        # decides (and owns) how it buckets, batches, and stitches.
-        self.scheduler = predictor.scheduler
         self.config = cfg
         self.clock = clock
         self.service_model = service_model
@@ -203,8 +203,8 @@ class InferenceEngine:
         self._dead = False     # set by a dying batcher, under the lock
         # Tracing (repro.obs): normalized to None when absent or disabled,
         # so every hot-path site is one attribute test. The tracer is
-        # pushed down to the predictor so the shared work-graph scheduler
-        # emits its sub-spans on this engine's track.
+        # pushed down to the predictor so it emits its sub-spans on this
+        # engine's track.
         tr = tracer if tracer is not None else predictor.tracer
         self.tracer = tr if (tr is not None and tr.enabled) else None
         self.trace_label = predictor.trace_label
@@ -350,10 +350,10 @@ class InferenceEngine:
             if fresh:
                 keys = [req.key if req.key is not None else _digest(image)
                         for req, image in zip(fresh, fresh_images)]
-                seqs = self.predictor._naturals(fresh_images, keys)
+                seqs = self.predictor.pipeline.process(fresh_images, keys)
                 for req, seq in zip(fresh, seqs):
                     req.seq = seq
-                    req.bucket = self.scheduler.bucket_length(len(seq))
+                    req.bucket = self.predictor.bucket_length(len(seq))
         except BaseException as exc:
             with self._cond:
                 self._rollback(fresh, chained, exc)
@@ -463,7 +463,7 @@ class InferenceEngine:
     def _run(self, batch: List[Request], started: float) -> BatchReport:
         """Execute ``batch`` and end its requests.
 
-        Whatever raises — the scheduler, the result cache, the tracer or
+        Whatever raises — the predictor, the result cache, the tracer or
         the bookkeeping of an ending request — fails every request of the
         batch not yet ended, twins included, before it propagates: no
         future is stranded and no reservation is left behind.
@@ -471,9 +471,9 @@ class InferenceEngine:
         ended = 0
         try:
             t0 = time.perf_counter()
-            # Pump the shared work-graph scheduler: the exact predict_batch
-            # grouping and fit/collate/forward/stitch, one implementation.
-            maps = self.scheduler.execute([r.seq for r in batch])
+            # The exact predict_batch grouping and fit/pack/forward/stitch,
+            # one implementation.
+            maps = self.predictor.predict_sequences([r.seq for r in batch])
             real_s = time.perf_counter() - t0
             length = batch[0].bucket
             cost = (self.service_model.cost(len(batch), length)

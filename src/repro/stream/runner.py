@@ -9,11 +9,10 @@ tile size and ``max_inflight``, never by the scene.
 The runner streams through a :class:`~repro.serve.predictor.Predictor`
 with read-ahead: a worker thread reads tile i+1 and runs its APF
 preprocessing
-(:meth:`~repro.serve.scheduler.WorkGraphScheduler.tile_sequences`) while
-the calling thread takes tile i through node building, the shared
-:class:`~repro.serve.scheduler.WorkGraphScheduler` drain, the tile reduce
-(class labels painted per token in the sink's ``dtype``, no probability
-map) and the sink, in plan order. NumPy, SciPy and file writes release
+(:meth:`~repro.serve.predictor.Predictor.tile_sequences`) while the
+calling thread takes tile i through node building, the predictor's
+drain, the tile reduce (class labels painted per token in the sink's
+``dtype``, no probability map) and the sink, in plan order. NumPy, SciPy and file writes release
 the GIL, so the halves overlap on two cores. Node building stays on the
 calling thread, and streamed class maps are **bit-identical** to the
 non-streamed per-tile reference at every ``max_inflight``; 1 runs the
@@ -79,8 +78,8 @@ class StreamingRunner:
     Parameters
     ----------
     predictor:
-        The :class:`~repro.serve.predictor.Predictor` whose scheduler
-        preprocesses, runs and reduces every tile.
+        The :class:`~repro.serve.predictor.Predictor` that preprocesses,
+        runs and reduces every tile.
     max_inflight:
         Macro-tiles resident at once: the tile being drained plus
         ``max_inflight - 1`` read and preprocessed ahead on the worker
@@ -118,9 +117,9 @@ class StreamingRunner:
         tile, fut = inflight.popleft()
         seqs = fut.result()
         t0 = time.perf_counter()
-        sched = self.predictor.scheduler
-        node = TileNode(kind=kind, children=sched.sequence_nodes(seqs))
-        sink.write(tile, sched.reduce_tile(node, getattr(sink, "dtype", None)))
+        pred = self.predictor
+        node = TileNode(kind=kind, children=pred.sequence_nodes(seqs))
+        sink.write(tile, pred.reduce_tile(node, getattr(sink, "dtype", None)))
         report.caller_busy_s += time.perf_counter() - t0
         if self.tracer is not None:
             self.tracer.instant("tile.retire", "stream", self.tracer.clock(),
@@ -218,7 +217,7 @@ class StreamingRunner:
                               "bytes": int(region.nbytes)})
         report.bytes_read += region.nbytes
         n = region.shape[0] if kind == "volume" else 1
-        seqs = self.predictor.scheduler.tile_sequences(
+        seqs = self.predictor.tile_sequences(
             region, kind, keys=[object() for _ in range(n)])
         report.worker_busy_s += time.perf_counter() - t0
         return seqs

@@ -82,13 +82,13 @@ def _scenario():
     # a failed batch: that queued primary's execution raises
     clock.advance(0.05)
     engine = _pending_replica(router).engine
-    real = engine.scheduler.execute
+    real = engine.predictor.predict_sequences
 
     def fail_once(seqs):
-        engine.scheduler.execute = real
+        engine.predictor.predict_sequences = real
         raise RuntimeError("injected execute failure")
 
-    engine.scheduler.execute = fail_once
+    engine.predictor.predict_sequences = fail_once
     with pytest.raises(RuntimeError):
         engine.step(force=True)
 

@@ -213,6 +213,6 @@ class TestKernelProfiling:
                                        channels=1, cache_items=32),
                          max_batch=4, bucket=16, tracer=Tracer())
         pred.predict_image(_images(1)[0])
-        assert pred.scheduler._plans
-        for cm in pred.scheduler._plans.values():
+        assert pred._plans
+        for cm in pred._plans.values():
             assert cm.plan.profile_hook is None

@@ -1,6 +1,6 @@
 """Packed execution: several APF sequences share one (k, L) block.
 
-The serving scheduler packs a micro-batch's natural sequences back to back
+The serving Predictor packs a micro-batch's natural sequences back to back
 into rows of the bucket length and runs attention per segment (the
 ``sdpa_varlen`` kernel). The contracts pinned here:
 
@@ -212,7 +212,8 @@ class TestPlanCount:
         compile_s = pred.stats["compile_seconds"]
         ds = SyntheticPAIP(64, 40)
         pool = [ds[i].image for i in range(40)]
-        picked = [(im, len(s)) for im, s in zip(pool, pred._naturals(pool, None))
+        seqs = pred.pipeline.process(pool, None)
+        picked = [(im, len(s)) for im, s in zip(pool, seqs)
                   if 32 < len(s) <= 64][:pred.max_batch]
         imgs = [im for im, _ in picked]
         assert len(imgs) == pred.max_batch

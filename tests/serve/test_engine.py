@@ -360,7 +360,7 @@ class TestWarmup:
     def test_first_request_hits_warm_plan(self):
         imgs = _images(1)
         pred = _predictor(_model(), max_batch=1, bucket=16)
-        seq = pred._naturals(imgs, [0])[0]
+        seq = pred.pipeline.process(imgs, [0])[0]
         pred.warmup(lengths=(len(seq),), batch_sizes=(1,))
         plans = pred.stats["plans"]
         pred.predict_batch(imgs, keys=[0])
@@ -494,7 +494,7 @@ class TestThreadedEngine:
         imgs = _images(3)
         pred = _predictor(_model(), max_batch=2, bucket=16)
         engine = InferenceEngine(pred, flush_deadline=0.0)
-        monkeypatch.setattr(engine.scheduler, "execute", die)
+        monkeypatch.setattr(engine.predictor, "predict_sequences", die)
         engine.start(warmup=False)
         try:
             first = engine.submit(imgs[0])
@@ -528,7 +528,7 @@ class TestThreadedEngine:
         imgs = _images(5)
         pred = _predictor(_model(), max_batch=2, bucket=16)
         engine = InferenceEngine(pred, flush_deadline=0.0)
-        monkeypatch.setattr(engine.scheduler, "execute", die)
+        monkeypatch.setattr(engine.predictor, "predict_sequences", die)
         futs = [engine.submit(im) for im in imgs]
         futs.append(engine.submit(imgs[-1]))      # collapsed twin
         assert engine.pending == 5 > engine.config.max_batch
@@ -564,8 +564,8 @@ class TestThreadedEngine:
         imgs = _images(2)
         pred = _predictor(_model(), max_batch=2, bucket=16)
         engine = InferenceEngine(pred, flush_deadline=0.0)
-        monkeypatch.setattr(engine.scheduler, "execute", die)
-        real = pred._naturals
+        monkeypatch.setattr(engine.predictor, "predict_sequences", die)
+        real = pred.pipeline.process
         calls, inner = [], []
 
         def naturals(images, keys):
@@ -578,7 +578,7 @@ class TestThreadedEngine:
                 assert not engine._thread.is_alive()
             return real(images, keys)
 
-        monkeypatch.setattr(pred, "_naturals", naturals)
+        monkeypatch.setattr(pred.pipeline, "process", naturals)
         engine.start(warmup=False)
         try:
             with pytest.raises(RuntimeError):
@@ -603,7 +603,7 @@ class TestThreadedEngine:
         imgs = _images(2)
         engine = InferenceEngine(_predictor(_model(), max_batch=2, bucket=16),
                                  flush_deadline=0.0)
-        monkeypatch.setattr(engine.scheduler, "execute", die)
+        monkeypatch.setattr(engine.predictor, "predict_sequences", die)
         engine.start(warmup=False)
         try:
             first = engine.submit(imgs[0])
@@ -651,8 +651,8 @@ class TestThreadedEngine:
 
 
 def _fail_first_execute(engine, monkeypatch):
-    """Make the engine's next ``scheduler.execute`` raise, then recover."""
-    real = engine.scheduler.execute
+    """Make the engine's next ``predict_sequences`` raise, then recover."""
+    real = engine.predictor.predict_sequences
     calls = []
 
     def execute(seqs):
@@ -661,12 +661,12 @@ def _fail_first_execute(engine, monkeypatch):
             raise RuntimeError("injected execute failure")
         return real(seqs)
 
-    monkeypatch.setattr(engine.scheduler, "execute", execute)
+    monkeypatch.setattr(engine.predictor, "predict_sequences", execute)
 
 
 def _fail_first_cache_put(engine, monkeypatch):
     """Make the engine's first result-cache put raise ``MemoryError`` —
-    after ``scheduler.execute`` returned, before any request ended."""
+    after ``predict_sequences`` returned, before any request ended."""
     real = engine._cache_put
     calls = []
 

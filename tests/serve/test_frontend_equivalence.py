@@ -4,10 +4,10 @@ Identical seeded 2-D and 3-D inputs go through all four front doors —
 :class:`Predictor` (synchronous drain), :class:`InferenceEngine` drain
 (pump), :class:`FleetRouter` drain (N pumps), and the
 :class:`StreamingRunner` (bounded macro-tile feed) — and must produce
-digest-identical int64 class maps. All four are thin adapters over the
-one :class:`~repro.serve.scheduler.WorkGraphScheduler`, so there is no
-second implementation of bucketing, micro-batch formation, plan-cache
-keying, or stitch scatter left to drift.
+digest-identical int64 class maps. All four run through one
+:class:`Predictor`, so there is no second implementation of bucketing,
+micro-batch formation, plan-cache keying, or stitch scatter left to
+drift.
 """
 
 import hashlib
@@ -175,6 +175,15 @@ class TestPlanCacheUnification:
         assert set(p1._plans) == set(eng.predictor._plans)
 
     def test_engine_rides_the_predictor_scheduler(self):
+        # the predictor is the engine's only scheduler: the engine keeps
+        # no work graph of its own, and its flushes fill the predictor's
+        # plan cache and stats
         eng = _engine(_model())
-        assert eng.scheduler is eng.predictor.scheduler
-        assert eng.predictor._plans is eng.scheduler._plans
+        assert not hasattr(eng, "scheduler")
+        images = _images()
+        for im in images:
+            eng.submit(im)
+        eng.drain()
+        assert eng.predictor._plans
+        assert eng.predictor.stats["images"] == len(images)
+        assert eng.stats()["predictor"] == eng.predictor.stats

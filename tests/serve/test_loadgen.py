@@ -129,8 +129,8 @@ class TestRunLoad:
         report = run_load(engine, trace, imgs, clock)
         assert_quiescent(engine)
         ordered = sorted(trace, key=lambda a: (a.time, a.lane, a.item))
-        lengths = [pred.bucket_length(len(pred._naturals([imgs[a.item]],
-                                                         [a.item])[0]))
+        lengths = [pred.bucket_length(len(pred.pipeline.process(
+                       [imgs[a.item]], [a.item])[0]))
                    for a in ordered]
         serial = serial_baseline(trace, lengths, ServiceModel())
         assert report["throughput"] > serial["throughput"]

@@ -99,7 +99,7 @@ class TestPredictor:
         imgs = _images(6)
         model = _model()
         server = Predictor(model, _pipe(), max_batch=3, bucket=8)
-        seqs = server._naturals(imgs, list(range(6)))
+        seqs = server.pipeline.process(imgs, list(range(6)))
         assert len({server.bucket_length(len(s)) for s in seqs}) > 1, \
             "workload no longer spans multiple buckets"
         got = server.predict_sequences(seqs)

@@ -297,7 +297,7 @@ def _kill_batcher(engine, monkeypatch):
     def die(seqs):
         raise _Fatal("batcher killed")
 
-    monkeypatch.setattr(engine.scheduler, "execute", die)
+    monkeypatch.setattr(engine.predictor, "predict_sequences", die)
     engine.start(warmup=False)
     fut = engine.submit(_images(N_IMAGES + 1)[-1])
     engine._thread.join(timeout=60)

@@ -1,5 +1,6 @@
-"""Unit tests for the work-graph scheduler — the single truth for
-bucketing, micro-batch formation, graph execution, and tile reduce."""
+"""Unit tests for the inference work graph that :class:`Predictor` runs —
+the single truth for bucketing, micro-batch formation, graph execution,
+and tile reduce."""
 
 import numpy as np
 import pytest
@@ -31,65 +32,87 @@ def _images(n, res=64):
     return [ds[i].image for i in range(n)]
 
 
+def _tile(p, region, kind):
+    return TileNode(kind, p.sequence_nodes(p.tile_sequences(region, kind)))
+
+
+def _positions(micros, nodes):
+    """Each micro-batch's nodes as indices into ``nodes``, by identity."""
+    index = {id(n): i for i, n in enumerate(nodes)}
+    return [[index[id(n)] for n in m.nodes] for m in micros]
+
+
 class TestBucketing:
     def test_bucket_grid_and_cap(self):
         p = _predictor()
-        s = p.scheduler
-        assert s.bucket_length(1) == 16
-        assert s.bucket_length(16) == 16
-        assert s.bucket_length(17) == 32
-        assert s.bucket_length(10_000) == p.max_len
+        assert p.bucket_length(1) == 16
+        assert p.bucket_length(16) == 16
+        assert p.bucket_length(17) == 32
+        assert p.bucket_length(10_000) == p.max_len
 
     def test_predictor_delegates(self):
+        # node construction buckets through bucket_length, the one grid
         p = _predictor()
-        for n in (1, 15, 16, 17, 200, 9999):
-            assert p.bucket_length(n) == p.scheduler.bucket_length(n)
+        seqs = p.pipeline.process(_images(4), None)
+        nodes = p.sequence_nodes(seqs)
+        assert len(nodes) == len(seqs)
+        for node, seq in zip(nodes, seqs):
+            assert node.seq is seq
+            assert node.bucket == p.bucket_length(len(seq))
 
 
 class TestPlanFormation:
     def _nodes(self, buckets):
-        return [SequenceNode(seq=None, bucket=b, order=i)
-                for i, b in enumerate(buckets)]
+        return [SequenceNode(seq=None, bucket=b) for b in buckets]
 
     def test_buckets_ascend_fifo_within_chunked_at_max_batch(self):
-        sched = _predictor().scheduler          # max_batch=3
-        micros = sched.plan(self._nodes([32, 16, 32, 16, 16, 32, 16, 48]))
-        assert [m.signature for m in micros] == [
+        p = _predictor()                        # max_batch=3
+        nodes = self._nodes([32, 16, 32, 16, 16, 32, 16, 48])
+        micros = p.plan(nodes)
+        assert [(len(m.nodes), m.length) for m in micros] == [
             (3, 16), (1, 16), (3, 32), (1, 48)]
-        order16 = [n.order for m in micros if m.length == 16
-                   for n in m.nodes]
-        assert order16 == [1, 3, 4, 6]          # FIFO inside the bucket
+        # FIFO inside each bucket
+        assert _positions(micros, nodes) == [[1, 3, 4], [6], [0, 2, 5], [7]]
 
     def test_max_batch_override(self):
-        sched = _predictor().scheduler
-        micros = sched.plan(self._nodes([16, 16, 16]), max_batch=1)
-        assert [m.signature for m in micros] == [(1, 16)] * 3
+        micros = _predictor().plan(self._nodes([16, 16, 16]), max_batch=1)
+        assert [(len(m.nodes), m.length) for m in micros] == [(1, 16)] * 3
 
-    def test_order_stamps_are_monotonic_across_calls(self):
+    def test_plan_keeps_fifo_order_across_calls(self):
         p = _predictor()
-        seqs = p._naturals(_images(2), None)
-        a = p.scheduler.sequence_nodes(seqs)
-        b = p.scheduler.sequence_nodes(seqs)
-        stamps = [n.order for n in a + b]
-        assert stamps == sorted(stamps) and len(set(stamps)) == 4
+        seqs = p.pipeline.process(_images(2), None)
+        a = p.sequence_nodes(seqs)
+        b = p.sequence_nodes(seqs)
+        micros = p.plan(a + b, max_batch=4)
+        assert len(micros) == len({n.bucket for n in a})
+        # every bucket holds its nodes in admission order: the first
+        # call's before the second call's
+        for got in _positions(micros, a + b):
+            assert got == sorted(got)
+        assert sorted(sum(_positions(micros, a + b), [])) == [0, 1, 2, 3]
 
 
 class TestGraphExecution:
-    def test_drain_marks_done_and_orders_results(self):
-        p = _predictor()
-        nodes = p.scheduler.sequence_nodes(p._naturals(_images(4), None))
-        assert not any(n.done for n in nodes)
-        results = p.scheduler.drain(nodes)
-        assert all(n.done for n in nodes)
-        for node, res in zip(nodes, results):
-            assert res is node.result
+    def test_drain_fills_tokens_and_keeps_node_order(self):
+        model = _model()
+        imgs = _images(4)
+        p = _predictor(model)
+        nodes = p.sequence_nodes(p.pipeline.process(imgs, None))
+        assert all(n.tokens is None for n in nodes)
+        p.drain(nodes)
+        assert all(n.tokens is not None for n in nodes)
+        ref = _predictor(model).predict_batch(imgs)
+        for node, want in zip(nodes, ref):
+            np.testing.assert_array_equal(node.result, want)
 
     def test_execute_matches_predict_batch(self):
+        # predict_sequences is the synchronous drain of the work graph
         model = _model()
         imgs = _images(4)
         ref = _predictor(model).predict_batch(imgs)
         p = _predictor(model)
-        got = p.scheduler.execute(p._naturals(imgs, None))
+        got = p.predict_sequences(p.pipeline.process(imgs, None))
+        assert len(got) == len(ref)
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
 
@@ -106,25 +129,23 @@ class TestGraphExecution:
 class TestTileNodes:
     def test_image_tile_has_one_child(self):
         p = _predictor()
-        node = p.scheduler.tile_node(_images(1)[0], "image")
+        node = _tile(p, _images(1)[0], "image")
         assert node.kind == "image"
         assert len(node.children) == 1
-        assert not node.done
-        p.scheduler.drain(node.children)
-        assert node.done
+        p.drain(node.children)
         np.testing.assert_array_equal(
-            p.scheduler.reduce_tile(node),
+            p.reduce_tile(node),
             class_map(node.children[0].result))
 
     def test_volume_tile_expands_per_slice(self):
         vol = generate_ct_volume(32, 5, seed=1).volume
         model = _model()
         p = _predictor(model)
-        node = p.scheduler.tile_node(vol, "volume")
+        node = _tile(p, vol, "volume")
         assert node.kind == "volume"
         assert len(node.children) == vol.shape[0]
-        p.scheduler.drain(node.children)
-        got = p.scheduler.reduce_tile(node)
+        p.drain(node.children)
+        got = p.reduce_tile(node)
         ref = _predictor(model).predict_volume(vol)
         np.testing.assert_array_equal(got, ref)
 
@@ -149,8 +170,7 @@ def _tied_tokens(seq, k, seed):
 
 
 def _drained(seq, probs):
-    return SequenceNode(seq=seq, bucket=0, order=0, done=True,
-                        tokens=(seq, probs))
+    return SequenceNode(seq=seq, bucket=0, tokens=(seq, probs))
 
 
 class TestTokenResolutionReduce:
@@ -172,11 +192,11 @@ class TestTokenResolutionReduce:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
     def test_image_tiles(self, k, dtype):
-        sched = _predictor().scheduler
+        p = _predictor()
         for i, seq in enumerate(self._seqs(k)):
             probs = _tied_tokens(seq, k, i)
             node = _drained(seq, probs)
-            got = sched.reduce_tile(TileNode("image", [node]), dtype)
+            got = p.reduce_tile(TileNode("image", [node]), dtype)
             want = class_map(stitch(seq, probs))
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
@@ -185,12 +205,12 @@ class TestTokenResolutionReduce:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_volume_tiles_stack_their_slices(self, k):
-        sched = _predictor().scheduler
+        p = _predictor()
         seqs = self._seqs(2)
         probs = [_tied_tokens(s, k, 10 + i) for i, s in enumerate(seqs)]
         tile = TileNode("volume", [_drained(s, p)
                                    for s, p in zip(seqs, probs)])
-        got = sched.reduce_tile(tile, np.uint8)
+        got = p.reduce_tile(tile, np.uint8)
         want = np.stack([class_map(stitch(s, p))
                          for s, p in zip(seqs, probs)])
         assert got.dtype == np.uint8 and got.shape == (3, 64, 64)
@@ -201,17 +221,18 @@ class TestTokenResolutionReduce:
         # the sink's own exactness check sees the real values
         seq = self._seqs(0)[0]
         node = _drained(seq, _tied_tokens(seq, 3, 0))
-        got = _predictor().scheduler.reduce_tile(TileNode("image", [node]),
-                                                 np.bool_)
+        got = _predictor().reduce_tile(TileNode("image", [node]), np.bool_)
         assert got.dtype == np.int64 and got.max() == 2
 
     def test_undrained_tile_is_run_first(self):
         model = _model()
         img = _images(1)[0]
         p = _predictor(model)
-        tile = p.scheduler.tile_node(img, "image")
-        got = p.scheduler.reduce_tile(tile)
-        assert tile.done and p.stats["images"] == 1
+        tile = _tile(p, img, "image")
+        assert tile.children[0].tokens is None
+        got = p.reduce_tile(tile)
+        assert tile.children[0].tokens is not None
+        assert p.stats["images"] == 1
         np.testing.assert_array_equal(
             got, class_map(_predictor(model).predict_image(img)))
 
@@ -219,14 +240,14 @@ class TestTokenResolutionReduce:
         vol = generate_ct_volume(32, 5, seed=1).volume
         model = _model()
         p = _predictor(model)
-        tile = p.scheduler.tile_node(vol, "volume")
+        tile = _tile(p, vol, "volume")
         first = tile.children[0]
-        p.scheduler.drain([first])
+        p.drain([first])
         kept = first.tokens
         ran = []
-        run = p.scheduler.run
-        p.scheduler.run = lambda m: (ran.extend(m.nodes), run(m))[1]
-        got = p.scheduler.reduce_tile(tile)
+        run = p.run
+        p.run = lambda m: (ran.extend(m.nodes), run(m))[1]
+        got = p.reduce_tile(tile)
         assert all(n is not first for n in ran)
         assert len(ran) == len(tile.children) - 1
         assert first.tokens is kept
@@ -246,15 +267,16 @@ class TestPlanOutputAliasing:
         # one bucket, one sequence per micro-batch: every batch runs the
         # same compiled plan before any node is stitched or reduced
         p = _predictor(model, max_batch=1, bucket=256, compiled=compiled)
-        tiles = [p.scheduler.tile_node(im, "image") for im in imgs]
-        micros = p.scheduler.plan([t.children[0] for t in tiles])
-        assert len({m.signature for m in micros}) == 1 and len(micros) == 3
+        tiles = [_tile(p, im, "image") for im in imgs]
+        micros = p.plan([t.children[0] for t in tiles])
+        assert len({(len(m.nodes), m.length) for m in micros}) == 1
+        assert len(micros) == 3
         for m in micros:
-            p.scheduler.run(m)
+            p.run(m)
         assert p.stats["plans"] == (1 if compiled else 0)
         ref = _predictor(model, max_batch=1, bucket=256, compiled=compiled)
         for tile, im in zip(tiles, imgs):
             want = ref.predict_image(im)
             np.testing.assert_array_equal(tile.children[0].result, want)
-            np.testing.assert_array_equal(p.scheduler.reduce_tile(tile),
+            np.testing.assert_array_equal(p.reduce_tile(tile),
                                           class_map(want))
